@@ -1,27 +1,19 @@
 // L1 — open-loop million-connection load harness with SLO-grade tail reporting.
 //
-// Two claims, both prerequisites for credible "is the OS dead?" load experiments:
-//
-//  1. The timer wheel gives flat (O(1)) schedule/cancel cost regardless of how many
-//     timers are pending, where the binary heap degrades as O(log n). At 10^6
-//     pending arrival timers — one per connection — the scheduler must not become
-//     the bottleneck of the load generator itself.
-//
-//  2. An open-loop sweep over offered load traces the classic throughput-vs-tail
-//     curve: achieved throughput tracks offered load until the server saturates,
-//     and p99/p99.9 latency explodes past the knee. Latency is measured from the
-//     *intended* send time (the arrival-timer due time), so queueing anywhere in
-//     the pipeline — including the client-side backlog — lands in the tail
-//     (no coordinated omission).
+// The claim, a prerequisite for credible "is the OS dead?" load experiments: an
+// open-loop sweep over offered load traces the classic throughput-vs-tail curve.
+// Achieved throughput tracks offered load until the server saturates, and p99/p99.9
+// latency explodes past the knee. Latency is measured from the *intended* send time
+// (the arrival-timer due time), so queueing anywhere in the pipeline — including the
+// client-side backlog — lands in the tail (no coordinated omission).
 //
 // Environment:
-//   BENCH_SMOKE=1         10^4 connections, fewer sweep points, smaller timer sets
-//                         (ctest smoke); default is the full 10^6-connection sweep.
+//   BENCH_SMOKE=1         10^4 connections and fewer sweep points (ctest smoke);
+//                         default is the full 10^6-connection sweep.
 //   BENCH_OPENLOOP_OUT    where to write the sweep json (default: skip the file;
 //                         the bench always drops a metrics snapshot via
 //                         BENCH_METRICS_DIR like the other benches).
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,7 +21,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/common/random.h"
 #include "src/load/open_loop_runner.h"
 #include "src/sim/simulation.h"
 
@@ -42,62 +33,7 @@ double WallNs() {
                                  .count());
 }
 
-// Wall-clock cost of one schedule+cancel pair with `pending` timers resident.
-// The resident set is scheduled far in the future and never fires; the measured
-// ops churn a small window of extra timers on top of it, exactly like a
-// million-connection fleet redrawing arrival timers.
-double ScheduleCancelNs(SchedulerKind kind, std::size_t pending, std::size_t ops) {
-  Simulation sim(CostModel{}, kind);
-  Rng rng(0x10adULL ^ pending);
-  for (std::size_t i = 0; i < pending; ++i) {
-    sim.Schedule(1 * kSecond + static_cast<TimeNs>(rng.NextBelow(63 * kSecond)),
-                 [] {});
-  }
-  // Warm + measure: schedule a timer at a random near-term offset, cancel the one
-  // scheduled `window` ops ago (a mix of young and old entries, as in a redraw).
-  constexpr std::size_t kWindow = 64;
-  TimerId ring[kWindow] = {};
-  const double t0 = WallNs();
-  for (std::size_t i = 0; i < ops; ++i) {
-    const std::size_t slot = i % kWindow;
-    if (ring[slot] != kInvalidTimer) sim.Cancel(ring[slot]);
-    ring[slot] = sim.Schedule(
-        1 * kMillisecond + static_cast<TimeNs>(rng.NextBelow(60 * kSecond)), [] {});
-  }
-  const double t1 = WallNs();
-  return (t1 - t0) / static_cast<double>(ops);
-}
-
-// Wall-clock cost of popping `pending` resident timers: the heap pays O(log n)
-// sift-downs (every pop, including tombstoned cancels), the wheel a cascade plus a
-// small per-tick sort. This is where a large pending population actually hurts.
-double DrainNs(SchedulerKind kind, std::size_t pending) {
-  Simulation sim(CostModel{}, kind);
-  Rng rng(0xd7a1ULL ^ pending);
-  for (std::size_t i = 0; i < pending; ++i) {
-    sim.Schedule(1 * kMillisecond + static_cast<TimeNs>(rng.NextBelow(63 * kSecond)),
-                 [] {});
-  }
-  const double t0 = WallNs();
-  sim.RunFor(64 * kSecond);
-  const double t1 = WallNs();
-  return (t1 - t0) / static_cast<double>(pending);
-}
-
-struct TimerPoint {
-  std::size_t pending;
-  double wheel_ns;
-  double heap_ns;
-  double wheel_drain_ns;
-  double heap_drain_ns;
-};
-
-struct SweepRow {
-  SweepPoint pt;
-};
-
-std::string Json(const std::vector<TimerPoint>& timers,
-                 const std::vector<SweepRow>& sweep, const OpenLoopConfig& cfg,
+std::string Json(const std::vector<SweepPoint>& sweep, const OpenLoopConfig& cfg,
                  bool ramp_ok) {
   char buf[512];
   std::string j = "{\n  \"config\": {";
@@ -108,19 +44,9 @@ std::string Json(const std::vector<TimerPoint>& timers,
                 static_cast<unsigned long long>(cfg.server_work_per_request_ns),
                 static_cast<unsigned long long>(cfg.seed), ramp_ok ? "true" : "false");
   j += buf;
-  j += "},\n  \"timer_schedule_cancel_ns\": [";
-  for (std::size_t i = 0; i < timers.size(); ++i) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s\n    {\"pending\": %zu, \"wheel\": %.1f, \"heap\": %.1f, "
-                  "\"wheel_drain\": %.1f, \"heap_drain\": %.1f}",
-                  i ? "," : "", timers[i].pending, timers[i].wheel_ns,
-                  timers[i].heap_ns, timers[i].wheel_drain_ns,
-                  timers[i].heap_drain_ns);
-    j += buf;
-  }
-  j += "\n  ],\n  \"sweep\": [";
+  j += "},\n  \"sweep\": [";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i].pt;
+    const SweepPoint& p = sweep[i];
     std::snprintf(
         buf, sizeof(buf),
         "%s\n    {\"offered_rps\": %.0f, \"achieved_rps\": %.0f, \"issued\": %llu, "
@@ -145,60 +71,10 @@ int Run() {
     return s != nullptr && s[0] == '1';
   }();
 
-  bench::Header("L1", "open-loop load harness: timer wheel + offered-load sweep",
-                "O(1) timers keep a 10^6-connection open-loop generator honest; the "
-                "sweep shows throughput tracking offered load to the knee and the "
+  bench::Header("L1", "open-loop load harness: offered-load sweep",
+                "the sweep shows throughput tracking offered load to the knee and the "
                 "p99/p99.9 tail exploding past it");
 
-  // --- Section 1: timer cost vs pending-timer population -----------------------
-  // Always full-size: 3M timer ops take a couple of wall seconds even in smoke
-  // mode, and the flat-cost claim is specifically about the 10^5..10^6 regime.
-  // The low-occupancy points (16, 256 pending in a 4096-slot wheel) exercise the
-  // word-scan occupancy bitmap: a near-empty wheel must find its next armed slot
-  // by scanning 64 slots per word, not by walking empties one by one.
-  const std::vector<std::size_t> sizes{16, 256, 1'000, 10'000, 100'000, 1'000'000};
-  const std::size_t ops = 200'000;
-  // Throwaway round: warm the allocator and code paths so the first measured
-  // point is not polluted by cold-start effects.
-  (void)ScheduleCancelNs(SchedulerKind::kTimerWheel, 1'000, ops / 8);
-  (void)ScheduleCancelNs(SchedulerKind::kBinaryHeap, 1'000, ops / 8);
-  std::vector<TimerPoint> timers;
-  std::printf("timer wall cost vs pending population (%zu schedule+cancel pairs; "
-              "drain = pop all pending):\n\n",
-              ops);
-  bench::Row("%12s | %12s %12s | %12s %12s %10s\n", "pending", "wheel s+c",
-             "heap s+c", "wheel drain", "heap drain", "heap/wheel");
-  bench::Row("%12s | %12s %12s | %12s %12s %10s\n", "", "ns/pair", "ns/pair",
-             "ns/pop", "ns/pop", "(drain)");
-  for (std::size_t n : sizes) {
-    TimerPoint tp{n, ScheduleCancelNs(SchedulerKind::kTimerWheel, n, ops),
-                  ScheduleCancelNs(SchedulerKind::kBinaryHeap, n, ops),
-                  DrainNs(SchedulerKind::kTimerWheel, n),
-                  DrainNs(SchedulerKind::kBinaryHeap, n)};
-    bench::Row("%12zu | %12.1f %12.1f | %12.1f %12.1f %9.1fx\n", tp.pending,
-               tp.wheel_ns, tp.heap_ns, tp.wheel_drain_ns, tp.heap_drain_ns,
-               tp.heap_drain_ns / tp.wheel_drain_ns);
-    timers.push_back(tp);
-  }
-  // Growth verdicts compare the 10^3 point against the 10^6 point: the flat-cost
-  // claim is about scaling INTO the dense regime. The low-occupancy points above
-  // are reported for the sparse-drain behaviour but kept out of the baseline —
-  // per-pop cost at 16 pending is dominated by fixed per-drain overhead.
-  const TimerPoint& base = *std::find_if(
-      timers.begin(), timers.end(),
-      [](const TimerPoint& tp) { return tp.pending == 1'000; });
-  const double wheel_growth = timers.back().wheel_ns / base.wheel_ns;
-  const double heap_growth = timers.back().heap_ns / base.heap_ns;
-  const double wheel_drain_growth =
-      timers.back().wheel_drain_ns / base.wheel_drain_ns;
-  const double heap_drain_growth =
-      timers.back().heap_drain_ns / base.heap_drain_ns;
-  std::printf("\ngrowth %zu -> %zu pending: schedule+cancel wheel %.2fx / heap "
-              "%.2fx, drain wheel %.2fx / heap %.2fx\n",
-              base.pending, timers.back().pending, wheel_growth,
-              heap_growth, wheel_drain_growth, heap_drain_growth);
-
-  // --- Section 2: offered-load sweep -------------------------------------------
   OpenLoopConfig cfg;
   cfg.connections = smoke ? 10'000 : 1'000'000;
   cfg.client_stacks = 8;
@@ -206,7 +82,6 @@ int Run() {
   cfg.server_work_per_request_ns = 500;
   cfg.workload.request_bytes = 64;
   cfg.seed = 1;
-  cfg.scheduler = SchedulerKind::kTimerWheel;
 
   // Rates bracket the server's service capacity (~500ns app work + per-packet
   // stack costs put the knee in the high hundreds of krps); the last point is
@@ -229,7 +104,7 @@ int Run() {
               static_cast<unsigned long long>(runner.accepted_connections()),
               (WallNs() - ramp_t0) / 1e9);
 
-  std::vector<SweepRow> sweep;
+  std::vector<SweepPoint> sweep;
   bench::Row("%14s %14s %10s %10s %10s %10s %10s\n", "offered rps", "achieved rps",
              "p50 us", "p99 us", "p99.9 us", "max us", "completed");
   bench::Row("-----------------------------------------------------------------"
@@ -242,11 +117,11 @@ int Run() {
                static_cast<double>(pt.latency.p999) / 1e3,
                static_cast<double>(pt.latency.max) / 1e3,
                static_cast<unsigned long long>(pt.completed));
-    sweep.push_back(SweepRow{pt});
+    sweep.push_back(pt);
   }
   runner.StopLoad();
 
-  const std::string json = Json(timers, sweep, cfg, ramp_ok);
+  const std::string json = Json(sweep, cfg, ramp_ok);
   bench::WriteMetricsFile("bench_l1_openloop", json);
   if (const char* out = std::getenv("BENCH_OPENLOOP_OUT")) {
     if (std::FILE* f = std::fopen(out, "w")) {
@@ -260,39 +135,17 @@ int Run() {
   // comfortably past it; in between the curve must behave like an open-loop system:
   // achieved throughput tracks offered load until saturation, then plateaus while
   // the tail explodes.
-  const SweepPoint& lo = sweep.front().pt;
-  const SweepPoint& hi = sweep.back().pt;
+  const SweepPoint& lo = sweep.front();
+  const SweepPoint& hi = sweep.back();
   const bool under_knee_tracks = lo.achieved_rps > 0.85 * lo.offered_rps;
   const bool saturates = hi.achieved_rps < 0.9 * hi.offered_rps;
   const bool tail_explodes = hi.latency.p99 > 8 * lo.latency.p99;
   const bool tail_ordered = hi.latency.p999 >= hi.latency.p99 &&
                             hi.latency.p99 >= hi.latency.p50;
-  // Timer shape. Schedule+cancel: random-priority heap inserts are O(1) average
-  // and cancels are tombstoned, so BOTH structures are flat there up to memory
-  // effects (at 10^6 pending the shared id->callback bookkeeping dominates both);
-  // the wheel must stay within memory-hierarchy noise of flat and at parity with
-  // the heap. Drain: the heap pays an O(log n) cache-hostile sift-down per pop —
-  // that cost must grow with population while the wheel's stays flat (a sparse
-  // wheel actually gets CHEAPER per pop as density rises and cascade work
-  // amortizes over more entries per slot).
-  // These are wall-clock measurements, so they only gate the verdict in the full
-  // run: under ctest smoke the box may be shared and the ratios are not stable
-  // enough to fail CI on (the sweep checks below are virtual-time and exact).
-  const bool wheel_flat = wheel_growth < 5.0 &&
-                          timers.back().wheel_ns < 1.5 * timers.back().heap_ns;
-  const bool wheel_drain_flat = wheel_drain_growth < 2.5;
-  const bool heap_degrades = heap_drain_growth > 3.0;
-  const bool timer_ok = wheel_flat && wheel_drain_flat && heap_degrades;
-  if (smoke && !timer_ok) {
-    std::printf("\n[info] timer shape outside full-run thresholds (wall-clock "
-                "noise tolerated in smoke mode)\n");
-  }
-
   bench::Verdict(ramp_ok && under_knee_tracks && saturates && tail_explodes &&
-                     tail_ordered && (smoke || timer_ok),
-                 "wheel cost insensitive to pending population (heap pop degrades "
-                 "log-linearly); throughput tracks offered load to the knee; "
-                 "p99/p99.9 blows up past saturation");
+                     tail_ordered,
+                 "throughput tracks offered load to the knee; p99/p99.9 blows up "
+                 "past saturation");
   return 0;
 }
 

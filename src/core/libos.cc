@@ -38,7 +38,7 @@ QToken LibOS::NewToken(QDesc qd, OpType type) {
   slot.state = OpState::kPending;
   slot.start_ns = host_->now();
   ++pending_count_;
-  return static_cast<QToken>(ops_.generation(index)) << 32 | index;
+  return TokenAt(index);
 }
 
 void LibOS::ReleaseFailedToken(QToken token) {
@@ -209,6 +209,19 @@ Status LibOS::Close(QDesc qd) {
   qtable_.erase(it);
   // Cancel splices touching this queue.
   std::erase_if(splices_, [qd](const Splice& s) { return s.in == qd || s.out == qd; });
+  // Whatever the queue's own Close() left pending can never complete now that the
+  // queue is gone: fail it, so no qtoken on the descriptor is stranded. Index loop:
+  // a completion observer may start new ops and grow the table.
+  for (std::size_t i = 0; pending_count_ > 0 && i < ops_.capacity(); ++i) {
+    const QToken token = TokenAt(i);
+    const OpSlot* slot = FindSlot(token);
+    if (slot != nullptr && slot->qd == qd && slot->state == OpState::kPending) {
+      QResult res;
+      res.op = slot->type;
+      res.status = Cancelled("queue closed");
+      CompleteOp(token, std::move(res));
+    }
+  }
   return status;
 }
 

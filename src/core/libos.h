@@ -87,6 +87,7 @@ class LibOS : public Poller, public CompletionSink {
   // Starts a connect; redeem completion with ConnectAsync or poll ConnectDone.
   Status Connect(QDesc qd, Endpoint remote);
   Result<QToken> ConnectAsync(QDesc qd, Endpoint remote);
+  // Closes the queue; every op still pending on `qd` completes with kCancelled.
   Status Close(QDesc qd);
 
   // --- control path: files (Figure 3, bottom-left) ---
@@ -261,6 +262,10 @@ class LibOS : public Poller, public CompletionSink {
   }
   static std::uint32_t TokenGeneration(QToken token) {
     return static_cast<std::uint32_t>(token >> 32);
+  }
+  // The token naming slot `index`'s current incarnation.
+  QToken TokenAt(std::size_t index) const {
+    return static_cast<QToken>(ops_.generation(index)) << 32 | index;
   }
 
   // Slot for `token`, or nullptr if the token is stale/unknown.

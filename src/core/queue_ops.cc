@@ -20,13 +20,6 @@ QResult MakePushResult(Status status = OkStatus()) {
   return r;
 }
 
-QResult MakeCancelled(OpType op) {
-  QResult r;
-  r.op = op;
-  r.status = Cancelled("queue closed");
-  return r;
-}
-
 }  // namespace
 
 // --- MemoryQueue ---
@@ -63,13 +56,6 @@ bool MemoryQueue::Progress(CompletionSink& sink) {
     elements_.pop_front();
     sink.CompleteOp(token, MakePopResult(std::move(sga)));
     progress = true;
-  }
-  if (closed_) {
-    while (!pending_pops_.empty()) {
-      sink.CompleteOp(pending_pops_.front(), MakeCancelled(OpType::kPop));
-      pending_pops_.pop_front();
-      progress = true;
-    }
   }
   return progress;
 }

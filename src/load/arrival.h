@@ -11,7 +11,7 @@
 //   - Poisson: independent exponential inter-arrival gaps at a fixed aggregate rate,
 //     split evenly across connections. Memoryless, so redrawing every pending gap at
 //     a rate change (the per-sweep-point reschedule) is statistically identical to
-//     letting old draws run out — and deliberately storms the timer wheel.
+//     letting old draws run out — and deliberately storms the scheduler.
 //   - MMPP (Markov-modulated Poisson): a two-phase on/off modulator. The process
 //     dwells exponentially in a quiet phase and a bursty phase whose rate is
 //     `burst_factor` times higher; phase rates are normalized so the long-run

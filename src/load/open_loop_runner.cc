@@ -54,7 +54,6 @@ Status OpenLoopRunner::ValidateConfig(const OpenLoopConfig& cfg) {
 
 OpenLoopRunner::OpenLoopRunner(OpenLoopConfig cfg)
     : cfg_(cfg),
-      sim_(CostModel{}, cfg.scheduler),
       fabric_(&sim_, cfg.fabric),
       workload_(cfg.workload),
       arrival_(cfg.arrival, cfg.connections),
@@ -409,7 +408,7 @@ void OpenLoopRunner::SchedulePhaseFlip() {
     arrival_.FlipPhase();
     ++phase_flips_;
     // Every connection's next gap must come from the new phase rate: cancel and
-    // redraw the whole fleet's arrival timers (a deliberate timer-wheel storm).
+    // redraw the whole fleet's arrival timers (a deliberate scheduler storm).
     RedrawAllArrivals();
     SchedulePhaseFlip();
   });

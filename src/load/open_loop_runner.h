@@ -14,8 +14,8 @@
 //
 // Event-driven, not polled: at a million connections any per-connection poll loop
 // is O(N) per step and dominates the run. The harness polls nothing per
-// connection — clients react to TcpConnection ready callbacks, arrivals are timer
-// wheel entries, and the only Poller is the accept-queue drain on the server side.
+// connection — clients react to TcpConnection ready callbacks, arrivals are
+// scheduler events, and the only Poller is the accept-queue drain on the server side.
 //
 // Intended-send-time accounting (coordinated-omission-free): a request's latency is
 // measured from the instant its arrival timer fired — NOT from when the bytes made
@@ -27,7 +27,7 @@
 // A sweep point (RunPoint) retargets the aggregate rate: every connection's pending
 // arrival timer is cancelled and redrawn at the new rate (valid because exponential
 // gaps are memoryless — and a deliberate million-entry cancel/schedule storm on the
-// timer wheel), runs a warmup, then records completions into a named histogram
+// scheduler), runs a warmup, then records completions into a named histogram
 // "openloop/<rate>rps/latency_ns" in the simulation's MetricsRegistry for the
 // measurement window.
 //
@@ -112,7 +112,6 @@ struct OpenLoopConfig {
   // 4096-slot RX ring or synchronized SYN retransmits collapse in lockstep.
   std::size_t ramp_batch = 2048;
   std::uint64_t seed = 1;
-  SchedulerKind scheduler = kDefaultSchedulerKind;
   OpenLoopTenantConfig tenant;  // disabled by default; see struct comment
 };
 

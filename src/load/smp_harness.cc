@@ -28,7 +28,6 @@ std::uint64_t Mix(std::uint64_t seed, std::uint64_t salt) {
 
 SmpHarness::SmpHarness(SmpHarnessConfig cfg)
     : cfg_(cfg),
-      sim_(CostModel{}, cfg.scheduler),
       fabric_(&sim_, FabricConfig{}),
       workload_(cfg.workload),
       rng_(Mix(cfg.seed, 0x50ad)) {

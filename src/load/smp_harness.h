@@ -59,7 +59,6 @@ struct SmpHarnessConfig {
   double shard_skew = 0.0;
   std::size_t ramp_batch = 1024;  // connections opened per ramp wave
   std::uint64_t seed = 1;
-  SchedulerKind scheduler = kDefaultSchedulerKind;
 };
 
 class SmpHarness final {

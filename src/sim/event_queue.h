@@ -1,19 +1,11 @@
-// Scheduler event-queue abstraction.
+// The scheduler's event heap.
 //
 // The Simulation keeps its event callbacks in a pooled side table (simulation.h);
 // what the scheduler itself orders is only the trivially-copyable SchedEntry
-// {due, seq, id}. Two implementations exist:
-//   - HeapEventQueue: the original binary heap, O(log n) push/pop. Retained as the
-//     differential-testing oracle (build with -DSIM_HEAP_SCHEDULER=ON to make it the
-//     default again) and as the baseline the bench compares against.
-//   - TimerWheel (timer_wheel.h): a hierarchical timer wheel, O(1) schedule and
-//     amortized O(1) expire, which is what makes a million pending retransmit /
-//     delayed-ack / arrival timers affordable.
-//
-// Contract both must honour, bit for bit: entries come out ordered by (due, seq) —
-// seq is the global schedule order, so same-time events run in the order they were
-// scheduled — and Peek() returns the exact earliest entry so idle jumps land the
-// clock on precisely the same timestamps under either implementation.
+// {due, seq, id}, one binary heap of them per core. Entries come out ordered by
+// (due, seq) — seq is the global schedule order, so same-time events run in the
+// order they were scheduled — and the top is the exact earliest entry, so idle
+// jumps land the clock on precisely the next due time.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -36,41 +28,14 @@ struct SchedEntry {
   TimerId id;
 };
 
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-
-  virtual void Push(const SchedEntry& e) = 0;
-  // Earliest entry by (due, seq), or nullptr when empty. The pointer is invalidated
-  // by the next Push/Pop.
-  virtual const SchedEntry* Peek() = 0;
-  // Removes and returns the earliest entry. Precondition: not empty.
-  virtual SchedEntry Pop() = 0;
-  virtual bool empty() const = 0;
-  virtual std::size_t size() const = 0;
-};
-
-// The legacy binary-heap scheduler (differential-testing oracle).
-class HeapEventQueue final : public EventQueue {
- public:
-  void Push(const SchedEntry& e) override { heap_.push(e); }
-  const SchedEntry* Peek() override { return heap_.empty() ? nullptr : &heap_.top(); }
-  SchedEntry Pop() override {
-    const SchedEntry e = heap_.top();
-    heap_.pop();
-    return e;
+// Max-heap comparator that puts the earliest (due, seq) on top.
+struct SchedLater {
+  bool operator()(const SchedEntry& a, const SchedEntry& b) const {
+    return a.due != b.due ? a.due > b.due : a.seq > b.seq;
   }
-  bool empty() const override { return heap_.empty(); }
-  std::size_t size() const override { return heap_.size(); }
-
- private:
-  struct Later {
-    bool operator()(const SchedEntry& a, const SchedEntry& b) const {
-      return a.due != b.due ? a.due > b.due : a.seq > b.seq;
-    }
-  };
-  std::priority_queue<SchedEntry, std::vector<SchedEntry>, Later> heap_;
 };
+
+using EventHeap = std::priority_queue<SchedEntry, std::vector<SchedEntry>, SchedLater>;
 
 }  // namespace demi
 

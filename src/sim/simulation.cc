@@ -2,54 +2,39 @@
 
 #include <algorithm>
 
-#include "src/sim/timer_wheel.h"
-
 namespace demi {
 
-namespace {
-std::unique_ptr<EventQueue> MakeEventQueue(SchedulerKind kind) {
-  if (kind == SchedulerKind::kBinaryHeap) {
-    return std::make_unique<HeapEventQueue>();
-  }
-  return std::make_unique<TimerWheel>();
-}
-}  // namespace
-
-Simulation::Simulation(CostModel cost, SchedulerKind scheduler)
-    : cost_(cost), scheduler_kind_(scheduler), events_(MakeEventQueue(scheduler)) {}
+Simulation::Simulation(CostModel cost) : cost_(cost) { ConfigureCores(1); }
 
 void Simulation::ConfigureCores(int n) {
   DEMI_CHECK(n >= 1);
   while (num_cores() < n) {
     CoreCtx ctx;
-    ctx.events = MakeEventQueue(scheduler_kind_);
     ctx.metrics = std::make_unique<MetricsRegistry>();
-    ctx.metrics->set_enabled(metrics_.enabled());
+    if (!cores_.empty()) {
+      ctx.metrics->set_enabled(cores_[0].metrics->enabled());
+    }
     cores_.push_back(std::move(ctx));
   }
 }
 
 MetricsRegistry& Simulation::metrics(int core) {
-  if (core == 0) {
-    return metrics_;
-  }
-  DEMI_CHECK(core > 0 && core < num_cores());
-  return *cores_[static_cast<std::size_t>(core - 1)].metrics;
+  DEMI_CHECK(core >= 0 && core < num_cores());
+  return *Core(core).metrics;
 }
 
 void Simulation::SetMetricsEnabled(bool enabled) {
-  metrics_.set_enabled(enabled);
   for (CoreCtx& ctx : cores_) {
     ctx.metrics->set_enabled(enabled);
   }
 }
 
 MetricsSnapshot Simulation::MergedSnapshot() {
-  MetricsSnapshot snap = metrics_.Snapshot(counters_, now_);
+  MetricsSnapshot snap = cores_[0].metrics->Snapshot(counters_, now_);
   // Counters are simulation-global and appear exactly once (from the snapshot
-  // above); only the per-core histograms and traces need folding in.
-  for (CoreCtx& ctx : cores_) {
-    ctx.metrics->MergeHistogramsInto(snap);
+  // above); only the other cores' histograms and traces need folding in.
+  for (std::size_t c = 1; c < cores_.size(); ++c) {
+    cores_[c].metrics->MergeHistogramsInto(snap);
   }
   std::stable_sort(snap.trace.begin(), snap.trace.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
@@ -57,11 +42,9 @@ MetricsSnapshot Simulation::MergedSnapshot() {
 }
 
 TimeNs Simulation::core_busy_until(int core) const {
-  if (core == 0) {
-    return now_;
-  }
-  DEMI_CHECK(core > 0 && core < num_cores());
-  return cores_[static_cast<std::size_t>(core - 1)].busy_until;
+  DEMI_CHECK(core >= 0 && core < num_cores());
+  // Core 0 runs on the global clock itself.
+  return core == 0 ? now_ : cores_[static_cast<std::size_t>(core)].busy_until;
 }
 
 int Simulation::SetHomeCore(int core) {
@@ -88,7 +71,7 @@ TimerId Simulation::ScheduleAtOn(int core, TimeNs when, std::function<void()> fn
   DEMI_CHECK(core >= 0 && core < num_cores());
   ++schedule_calls_;
   const TimerId id = AllocSlot(std::move(fn));
-  QueueOf(core).Push(SchedEntry{std::max(when, now_), next_seq_++, id});
+  Core(core).events.push(SchedEntry{std::max(when, now_), next_seq_++, id});
   return id;
 }
 
@@ -140,37 +123,24 @@ void Simulation::AddPoller(Poller* poller) {
 void Simulation::AddPollerOn(int core, Poller* poller) {
   DEMI_CHECK(poller != nullptr);
   DEMI_CHECK(core >= 0 && core < num_cores());
-  if (core == 0) {
-    pollers_.push_back(poller);
-  } else {
-    cores_[static_cast<std::size_t>(core - 1)].pollers.push_back(poller);
-  }
+  Core(core).pollers.push_back(poller);
 }
 
 void Simulation::RemovePoller(Poller* poller) {
-  pollers_.erase(std::remove(pollers_.begin(), pollers_.end(), poller), pollers_.end());
   for (CoreCtx& ctx : cores_) {
-    ctx.pollers.erase(std::remove(ctx.pollers.begin(), ctx.pollers.end(), poller),
-                      ctx.pollers.end());
+    std::erase(ctx.pollers, poller);
   }
 }
 
 bool Simulation::idle() const {
-  if (!events_->empty()) {
-    return false;
-  }
-  for (const CoreCtx& ctx : cores_) {
-    if (!ctx.events->empty()) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(cores_.begin(), cores_.end(),
+                     [](const CoreCtx& ctx) { return ctx.events.empty(); });
 }
 
 std::size_t Simulation::pending_events() const {
-  std::size_t total = events_->size();
+  std::size_t total = 0;
   for (const CoreCtx& ctx : cores_) {
-    total += ctx.events->size();
+    total += ctx.events.size();
   }
   return total - cancelled_count_;
 }
@@ -179,21 +149,19 @@ int Simulation::EarliestCore() {
   int best = -1;
   const SchedEntry* best_top = nullptr;
   for (int core = 0; core < num_cores(); ++core) {
-    EventQueue& queue = QueueOf(core);
-    // Release cancelled tombstones at the head so they neither win the comparison
+    EventHeap& heap = Core(core).events;
+    // Release cancelled tombstones at the top so they neither win the comparison
     // nor linger as phantom next-event times for the idle jump.
-    const SchedEntry* top;
-    while ((top = queue.Peek()) != nullptr &&
-           !event_fns_[static_cast<std::uint32_t>(top->id)].fn) {
-      TakeSlot(static_cast<std::uint32_t>(top->id));
+    while (!heap.empty() && !event_fns_[static_cast<std::uint32_t>(heap.top().id)].fn) {
+      TakeSlot(static_cast<std::uint32_t>(heap.top().id));
       --cancelled_count_;
-      queue.Pop();
+      heap.pop();
     }
-    if (top == nullptr) {
+    if (heap.empty()) {
       continue;
     }
-    if (best_top == nullptr || top->due < best_top->due ||
-        (top->due == best_top->due && top->seq < best_top->seq)) {
+    const SchedEntry* top = &heap.top();
+    if (best_top == nullptr || SchedLater{}(*best_top, *top)) {
       best = core;
       best_top = top;
     }
@@ -202,7 +170,7 @@ int Simulation::EarliestCore() {
 }
 
 void Simulation::RunInBubble(int core, const std::function<void()>& fn) {
-  CoreCtx& ctx = cores_[static_cast<std::size_t>(core - 1)];
+  CoreCtx& ctx = Core(core);
   const TimeNs saved = now_;
   const int prev_core = current_core_;
   current_core_ = core;
@@ -215,24 +183,16 @@ void Simulation::RunInBubble(int core, const std::function<void()>& fn) {
 bool Simulation::RunDue() {
   std::uint64_t ran = 0;
   while (true) {
-    const int core = cores_.empty() ? (events_->Peek() != nullptr ? 0 : -1)
-                                    : EarliestCore();
-    if (core < 0) {
+    const int core = EarliestCore();
+    if (core < 0 || Core(core).events.top().due > now_) {
       break;
     }
-    EventQueue& queue = QueueOf(core);
-    const SchedEntry* top = queue.Peek();
-    if (top == nullptr || top->due > now_) {
-      break;
-    }
-    const SchedEntry ev = queue.Pop();
+    EventHeap& heap = Core(core).events;
+    const SchedEntry ev = heap.top();
+    heap.pop();
     // Take the callback out of the pool before running it: it may reschedule
-    // (growing the pool), and a cancelled slot (null fn) must be released too.
+    // (growing the pool). EarliestCore already released any tombstone on top.
     std::function<void()> fn = TakeSlot(static_cast<std::uint32_t>(ev.id));
-    if (!fn) {
-      --cancelled_count_;
-      continue;
-    }
     ++ran;
     if (core == 0) {
       fn();
@@ -245,7 +205,7 @@ bool Simulation::RunDue() {
     }
   }
   if (ran > 0) {
-    metrics_.RecordStat(SimStat::kDispatchBatch, ran);
+    cores_[0].metrics->RecordStat(SimStat::kDispatchBatch, ran);
   }
   return ran > 0;
 }
@@ -253,18 +213,22 @@ bool Simulation::RunDue() {
 bool Simulation::StepOnce() {
   DEMI_CHECK(!in_step_ && "blocking waits may not nest inside Poller::Poll");
   in_step_ = true;
-  metrics_.RecordStat(SimStat::kSchedHeapDepth, pending_events());
+  // Simulator-internal stats go to core 0's registry (boxed, so the reference
+  // survives a poller growing the core vector).
+  MetricsRegistry& stats = *cores_[0].metrics;
+  stats.RecordStat(SimStat::kSchedHeapDepth, pending_events());
   const TimeNs poll_start = now_;
   bool progress = false;
-  // Iterate by index: pollers may be added during polling (e.g. accept spawns actors).
-  for (std::size_t i = 0; i < pollers_.size(); ++i) {
-    progress |= pollers_[i]->Poll();
+  // Core 0 polls on the global clock. Iterate by index: pollers may be added during
+  // polling (e.g. accept spawns actors).
+  for (std::size_t i = 0; i < cores_[0].pollers.size(); ++i) {
+    progress |= cores_[0].pollers[i]->Poll();
   }
   // Bubble cores, in fixed index order (the deterministic interleaving rule): a
   // core polls only once the global clock has caught up with its busy horizon, and
   // the clock advance its poll causes becomes the new horizon.
   for (int core = 1; core < num_cores(); ++core) {
-    CoreCtx& ctx = cores_[static_cast<std::size_t>(core - 1)];
+    CoreCtx& ctx = Core(core);
     if (ctx.pollers.empty() || now_ < ctx.busy_until) {
       continue;
     }
@@ -277,25 +241,22 @@ bool Simulation::StepOnce() {
     progress |= core_progress;
   }
   const TimeNs dispatch_start = now_;
-  metrics_.RecordStat(SimStat::kStepPollNs,
-                      static_cast<std::uint64_t>(dispatch_start - poll_start));
+  stats.RecordStat(SimStat::kStepPollNs,
+                   static_cast<std::uint64_t>(dispatch_start - poll_start));
   progress |= RunDue();
-  metrics_.RecordStat(SimStat::kStepDispatchNs,
-                      static_cast<std::uint64_t>(now_ - dispatch_start));
+  stats.RecordStat(SimStat::kStepDispatchNs,
+                   static_cast<std::uint64_t>(now_ - dispatch_start));
   in_step_ = false;
   if (progress) {
     return true;
   }
   // Nothing runnable now: jump to the next wakeup. Candidates are the earliest
-  // scheduled event across all cores and the nearest busy horizon of a core that
-  // still has pollers waiting to run (its next poll is the wakeup).
+  // scheduled event across all cores and the nearest busy horizon of a bubble core
+  // that still has pollers waiting to run (its next poll is the wakeup).
   const int core = EarliestCore();
-  TimeNs target = -1;
-  if (core >= 0) {
-    target = QueueOf(core).Peek()->due;
-  }
+  TimeNs target = core >= 0 ? Core(core).events.top().due : -1;
   for (int c = 1; c < num_cores(); ++c) {
-    const CoreCtx& ctx = cores_[static_cast<std::size_t>(c - 1)];
+    const CoreCtx& ctx = Core(c);
     if (!ctx.pollers.empty() && ctx.busy_until > now_ &&
         (target < 0 || ctx.busy_until < target)) {
       target = ctx.busy_until;
@@ -305,7 +266,7 @@ bool Simulation::StepOnce() {
     return false;  // completely idle
   }
   if (target > now_) {
-    metrics_.RecordStat(SimStat::kIdleJumpNs, static_cast<std::uint64_t>(target - now_));
+    stats.RecordStat(SimStat::kIdleJumpNs, static_cast<std::uint64_t>(target - now_));
   }
   now_ = std::max(now_, target);
   RunDue();

@@ -7,14 +7,19 @@
 // device-side work never blocks the CPU — it schedules completion events instead,
 // exactly the overlap a real kernel-bypass device gives you.
 //
+// Scheduler: every core owns one binary heap of (due, seq, id) entries
+// (event_queue.h); callbacks live in a pooled slot table addressed by
+// generation-tagged TimerIds. Cancel tombstones the slot, and the heap entry is
+// dropped unrun once it reaches the top. Dispatch takes the globally earliest
+// (due, seq) across the cores' heaps.
+//
 // Multi-core model (DESIGN.md §13): ConfigureCores(N) adds execution contexts
-// 1..N-1 next to the legacy context (core 0). Core 0 is bit-exact with the
-// single-core simulator: its pollers advance the global clock directly. A core
-// c > 0 executes in *bubbles*: its pollers run only once the global clock has
-// caught up to the core's busy horizon (busy_until), the clock advance its work
-// causes is recorded as the new horizon, and the global clock is then restored —
-// so N cores doing independent work overlap in virtual time instead of
-// serializing. Each core owns an event queue (timers armed inside a bubble stay
+// 1..N-1 next to core 0. Core 0's pollers and events advance the global clock
+// directly. A core c > 0 executes in *bubbles*: its pollers run only once the
+// global clock has caught up to the core's busy horizon (busy_until), the clock
+// advance its work causes is recorded as the new horizon, and the global clock is
+// then restored — so N cores doing independent work overlap in virtual time instead
+// of serializing. Each core owns an event heap (timers armed inside a bubble stay
 // on that core) and a MetricsRegistry. Determinism: cores are polled in fixed
 // index order and events dispatch in global (due, seq) order, so a run is a pure
 // function of the seed — at any core count.
@@ -48,21 +53,9 @@ class Poller {
   virtual bool Poll() = 0;
 };
 
-// Which event-queue implementation orders the scheduler (see event_queue.h). The
-// timer wheel is the production scheduler; the binary heap is kept as a
-// differential-testing oracle and can be restored as the default with
-// -DSIM_HEAP_SCHEDULER=ON.
-enum class SchedulerKind { kTimerWheel, kBinaryHeap };
-#ifdef DEMI_SIM_HEAP_SCHEDULER
-inline constexpr SchedulerKind kDefaultSchedulerKind = SchedulerKind::kBinaryHeap;
-#else
-inline constexpr SchedulerKind kDefaultSchedulerKind = SchedulerKind::kTimerWheel;
-#endif
-
 class Simulation {
  public:
-  explicit Simulation(CostModel cost = CostModel{},
-                      SchedulerKind scheduler = kDefaultSchedulerKind);
+  explicit Simulation(CostModel cost = CostModel{});
 
   TimeNs now() const { return now_; }
   const CostModel& cost() const { return cost_; }
@@ -86,8 +79,8 @@ class Simulation {
   // Declares `n` cores (including core 0). Call once, before any ScheduleOn /
   // AddPollerOn targeting cores > 0. Idempotent growth: a larger n adds cores.
   void ConfigureCores(int n);
-  int num_cores() const { return 1 + static_cast<int>(cores_.size()); }
-  // The core whose bubble is executing; 0 in the legacy context.
+  int num_cores() const { return static_cast<int>(cores_.size()); }
+  // The core whose bubble is executing; 0 outside any bubble.
   int current_core() const { return current_core_; }
   // How far ahead of the global clock core `c`'s serial work has run.
   TimeNs core_busy_until(int core) const;
@@ -137,7 +130,6 @@ class Simulation {
   // Lifetime total of Schedule/ScheduleAt calls; lets tests assert that hot paths
   // (e.g. the TCP retransmit timer) are not rescheduling per event.
   std::uint64_t schedule_calls() const { return schedule_calls_; }
-  SchedulerKind scheduler_kind() const { return scheduler_kind_; }
 
  private:
   // Queue entries are trivially copyable; the callback lives in a pooled side table.
@@ -149,18 +141,18 @@ class Simulation {
   // Pooled callback slot. `gen` identifies the live incarnation: it is baked into
   // the TimerId at alloc and bumped at release, so Cancel on a dead or reused id
   // misses without any lookup structure. A cancelled slot keeps its (nulled) fn
-  // entry until its heap event pops — null fn is the tombstone.
+  // until its heap entry reaches the top and is released — null fn is the tombstone.
   struct FnSlot {
     std::function<void()> fn;
     std::uint32_t gen = 1;
   };
 
-  // One execution context beyond core 0: its own event queue and poller list (the
-  // shard of the simulation that core runs), a busy horizon, and a metrics registry.
-  // Core 0 keeps using the legacy members below so the single-core simulator is
-  // bit-exact with the pre-SMP code.
+  // One execution context: its event heap and poller list (the shard of the
+  // simulation that core runs), a busy horizon (unused by core 0, which runs on the
+  // global clock), and a metrics registry, boxed so references to it survive
+  // ConfigureCores growing the vector.
   struct CoreCtx {
-    std::unique_ptr<EventQueue> events;
+    EventHeap events;
     std::vector<Poller*> pollers;
     TimeNs busy_until = 0;
     std::unique_ptr<MetricsRegistry> metrics;
@@ -169,11 +161,9 @@ class Simulation {
   TimerId AllocSlot(std::function<void()> fn);
   // Removes and returns the callback, releasing the slot (and its captures).
   std::function<void()> TakeSlot(std::uint32_t slot);
-  EventQueue& QueueOf(int core) {
-    return core == 0 ? *events_ : *cores_[static_cast<std::size_t>(core - 1)].events;
-  }
-  // The core whose queue holds the globally earliest (due, seq) event, or -1.
-  // Skips cancelled tombstones at each queue head (releasing them) on the way.
+  CoreCtx& Core(int core) { return cores_[static_cast<std::size_t>(core)]; }
+  // The core whose heap holds the globally earliest (due, seq) event, or -1.
+  // Skips cancelled tombstones at each heap top (releasing them) on the way.
   int EarliestCore();
   // Runs `fn` in core `c`'s bubble starting at the current global clock, then
   // records the bubble end as the core's new busy horizon and restores the clock.
@@ -181,19 +171,15 @@ class Simulation {
 
   CostModel cost_;
   Counters counters_;
-  MetricsRegistry metrics_;
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t schedule_calls_ = 0;
-  SchedulerKind scheduler_kind_;
-  std::unique_ptr<EventQueue> events_;
   std::vector<FnSlot> event_fns_;
   std::vector<std::uint32_t> free_fn_slots_;
   std::size_t cancelled_count_ = 0;
-  std::vector<Poller*> pollers_;
   bool in_step_ = false;
-  std::vector<CoreCtx> cores_;  // cores 1..N-1; empty in single-core runs
-  int current_core_ = 0;        // bubble being executed (0 = legacy context)
+  std::vector<CoreCtx> cores_;  // cores 0..N-1
+  int current_core_ = 0;        // bubble being executed (0 = none)
   int home_core_ = 0;           // default core for out-of-bubble registration
 };
 

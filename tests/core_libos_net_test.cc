@@ -55,6 +55,23 @@ std::string EchoOnce(LibOS& server, QDesc server_qd, LibOS& client, QDesc client
   return reply->sga.ToString();
 }
 
+// Leaves a pop and a push pending on `qd`, closes it, and expects both to complete
+// with kCancelled and `libos`'s pending-op count to return to its earlier value.
+void ExpectCloseCancelsPendingOps(LibOS& libos, QDesc qd) {
+  const std::size_t before = libos.pending_ops();
+  const QToken pop = *libos.Pop(qd);
+  const QToken push = *libos.Push(qd, Sga("never sent"));
+  ASSERT_EQ(libos.pending_ops(), before + 2);
+  ASSERT_TRUE(libos.Close(qd).ok());
+  EXPECT_EQ(libos.pending_ops(), before);
+  for (const auto& [token, op] : {std::pair{pop, OpType::kPop}, {push, OpType::kPush}}) {
+    auto r = libos.Wait(token, kMillisecond);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->op, op);
+    EXPECT_EQ(r->status.code(), ErrorCode::kCancelled);
+  }
+}
+
 // --- Catnip ---
 
 TEST(CatnipTest, EchoRoundTrip) {
@@ -198,6 +215,16 @@ TEST(CatnipTest, CloseDeliversEofToPeerPop) {
   EXPECT_EQ(r->status.code(), ErrorCode::kEndOfFile);
 }
 
+TEST(CatnipTest, CloseCancelsPendingOps) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  ExpectCloseCancelsPendingOps(client, cqd);
+}
+
 TEST(CatnipTest, UdpDatagramIsOneElement) {
   TestHarness h;
   auto& sh = h.AddHost("server", "10.0.0.1");
@@ -243,6 +270,16 @@ TEST(CatnapTest, DataPathPaysSyscallsAndCopies) {
   // The portability libOS keeps the app unchanged but pays the traditional tax.
   EXPECT_GT(h.sim().counters().Get(Counter::kBytesCopied), copies_before + 8000);
   EXPECT_GT(h.sim().counters().Get(Counter::kSyscalls), syscalls_before);
+}
+
+TEST(CatnapTest, CloseCancelsPendingOps) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  auto& client = h.Catnap(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  ExpectCloseCancelsPendingOps(client, cqd);
 }
 
 // --- interop: same application protocol across libOSes (§5.2 framing) ---
@@ -346,6 +383,20 @@ TEST(CatmintTest, OversizedElementRejected) {
   auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
   SgArray huge = client.SgaAlloc(64 * 1024);  // > max_element_bytes (16 KB)
   EXPECT_EQ(client.Push(cqd, huge).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(CatmintTest, CloseCancelsPendingOps) {
+  TestHarness h;
+  HostOptions rdma_opts;
+  rdma_opts.with_rdma = true;
+  rdma_opts.with_nic = false;
+  rdma_opts.with_kernel = false;
+  auto& sh = h.AddHost("server", "10.0.0.1", rdma_opts);
+  auto& ch = h.AddHost("client", "10.0.0.2", rdma_opts);
+  auto& server = h.Catmint(sh);
+  auto& client = h.Catmint(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  ExpectCloseCancelsPendingOps(client, cqd);
 }
 
 TEST(CatmintTest, ManyMessagesNoRnrFailures) {

@@ -394,15 +394,15 @@ TEST(QConnectTest, PipelineFilterThenMap) {
 TEST(CloseTest, CloseCancelsPendingPops) {
   PureRig rig;
   const QDesc qd = *rig.libos.QueueCreate();
+  const std::size_t before = rig.libos.pending_ops();
   const QToken pop = *rig.libos.Pop(qd);
-  // MemoryQueue completes outstanding pops with kCancelled once closed; pump once
-  // before the descriptor disappears from the table.
-  IoQueue* raw = nullptr;
-  (void)raw;
   ASSERT_TRUE(rig.libos.Close(qd).ok());
-  // After Close the queue is gone; the op can never complete.
+  // The queue is gone, so Close itself fails the pop instead of stranding it.
+  EXPECT_EQ(rig.libos.pending_ops(), before);
   auto r = rig.libos.Wait(pop, 10 * kMicrosecond);
-  EXPECT_FALSE(r.ok());
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->status.code(), ErrorCode::kCancelled);
+  EXPECT_EQ(r->op, OpType::kPop);
 }
 
 TEST(MemoryTest, SgaAllocComesFromTheLibosManager) {
