@@ -12,7 +12,8 @@
 //     shard and its tail collapses while its neighbours idle. ZygOS-style stealing
 //     of ready completions (with explicit cross-core probe/IPI/cache-line costs)
 //     absorbs the imbalance: steal-on p99 <= 0.5x steal-off at the same skewed
-//     offered load.
+//     offered load. Idle thieves probe only peers the steal hint flags as backed
+//     up, so the steal-on arm makes no more probes than it steals completions.
 //
 // Both arms of every comparison run the same seed, so the curves differ only by
 // the knob under test. A final same-seed double run checks bit determinism of the
@@ -231,19 +232,20 @@ int Run() {
   // --- Section 2: skewed shard load, stealing on vs off ------------------------
   std::printf("\nZipf-skewed shard imbalance (skew 1.5, 360 krps aggregate, 4 "
               "workers; hot shard alone is over one core's capacity):\n\n");
-  bench::Row("%10s | %14s %10s %10s %10s %12s\n", "stealing", "achieved rps",
-             "p50 us", "p99 us", "p99.9 us", "stolen");
+  bench::Row("%10s | %14s %10s %10s %10s %12s %12s\n", "stealing", "achieved rps",
+             "p50 us", "p99 us", "p99.9 us", "stolen", "probes");
   bench::Row("--------------------------------------------------------------------"
              "--\n");
   const SkewArm off = SkewedTail(shape, false);
   const SkewArm on = SkewedTail(shape, true);
   for (const auto* arm : {&off, &on}) {
-    bench::Row("%10s | %14.0f %10.1f %10.1f %10.1f %12llu\n",
+    bench::Row("%10s | %14.0f %10.1f %10.1f %10.1f %12llu %12llu\n",
                arm == &on ? "on" : "off", arm->pt.achieved_rps,
                static_cast<double>(arm->pt.latency.p50) / 1e3,
                static_cast<double>(arm->pt.latency.p99) / 1e3,
                static_cast<double>(arm->pt.latency.p999) / 1e3,
-               static_cast<unsigned long long>(arm->stolen));
+               static_cast<unsigned long long>(arm->stolen),
+               static_cast<unsigned long long>(arm->steal_attempts));
     bench::Row("%10s |   per-shard conns %zu/%zu/%zu/%zu, served "
                "%llu/%llu/%llu/%llu\n",
                "", arm->shard_conns[0], arm->shard_conns[1], arm->shard_conns[2],
@@ -276,15 +278,19 @@ int Run() {
   const bool scales = speedup4[0] >= 3.0 && speedup4[1] >= 3.0;
   const bool steal_halves_tail =
       on.pt.latency.p99 * 2 <= off.pt.latency.p99 && on.stolen > 0;
+  const bool probes_pay_off = on.steal_attempts <= on.stolen;
   bench::Verdict(scales, "4 workers deliver >= 3x 1-worker saturated throughput "
                          "(echo and KV)");
   bench::Verdict(steal_halves_tail,
                  "under skewed shard load, stealing cuts p99 to <= 0.5x of the "
                  "no-steal tail");
+  bench::Verdict(probes_pay_off,
+                 "under skewed shard load, steal probes <= completions stolen "
+                 "(idle thieves probe only flagged peers)");
   bench::Verdict(deterministic,
                  "same seed -> bit-identical multi-core run (clock, completions, "
                  "steals)");
-  return scales && steal_halves_tail && deterministic ? 0 : 1;
+  return scales && steal_halves_tail && probes_pay_off && deterministic ? 0 : 1;
 }
 
 }  // namespace

@@ -10,6 +10,23 @@ namespace demi {
 
 namespace {
 
+// Victim ready-ring depth that justifies a steal, and the depth at which a worker
+// raises its steal-hint bit.
+constexpr std::size_t kStealThreshold = 4;
+// Max completions moved per successful steal (one IPI per batch).
+constexpr std::size_t kStealBatch = 8;
+// Max completions a worker consumes from its own ring per poll — bounded so a
+// flooded worker's backlog stays visible to thieves between its bubbles instead
+// of draining whole in one.
+constexpr std::size_t kConsumeBatch = 16;
+// RX frames the worker's stack ingests per poll. Must comfortably exceed
+// kConsumeBatch in wire frames (a request is typically 2 frames: header part +
+// payload part) or ingest and consumption lock in balance and an overloaded
+// shard's queue hides in the NIC ring where thieves cannot see it.
+constexpr std::size_t kRxBatch = 128;
+
+std::uint64_t HintBit(int worker) { return std::uint64_t{1} << worker; }
+
 // Wire protocol of src/load/workload.h: the first 4 payload bytes carry the
 // response length, little-endian, clamped so a corrupt header cannot ask for
 // unbounded data. The header may straddle sga segments after reassembly.
@@ -50,7 +67,7 @@ SmpWorker::SmpWorker(WorkerPool* pool, Simulation* sim, SimNic* nic, int index,
   ccfg.seed = cfg_.seed ^ (0x517e0000ull + static_cast<std::uint64_t>(index));
   ccfg.nic_queue = index_;
   ccfg.rss_steering = true;  // N listeners on one port: the hash is the demux
-  ccfg.rx_batch = cfg_.rx_batch;
+  ccfg.rx_batch = kRxBatch;
   libos_ = std::make_unique<CatnipLibOS>(&cpu_, nic, /*control_kernel=*/nullptr,
                                          std::move(ccfg));
   // Sharded workers hold one mostly-idle connection per client: poll the dirty
@@ -67,6 +84,9 @@ SmpWorker::SmpWorker(WorkerPool* pool, Simulation* sim, SimNic* nic, int index,
   libos_->set_ready_observer([this](QToken, QDesc qd, OpType op, bool ok) {
     if (op == OpType::kPop && ok) {
       (void)libos_->Pop(qd);
+    }
+    if (pool_->stealing()) {
+      RefreshHint(*this);  // the ring just grew: maybe worth a thief's probe now
     }
   });
   response_blob_ = Buffer::Allocate(kMaxResponseBytes);
@@ -159,24 +179,48 @@ SgArray SmpWorker::ResponseSga(std::uint32_t bytes) {
   return SgArray(response_blob_.Slice(0, bytes));
 }
 
+void SmpWorker::RefreshHint(const SmpWorker& w) {
+  const std::uint64_t bit = HintBit(w.index_);
+  const bool flagged = w.libos_->ready_size() >= kStealThreshold;
+  if (((pool_->steal_hint_ & bit) != 0) == flagged) {
+    return;  // unchanged: no store, nobody's cached copy goes stale
+  }
+  pool_->steal_hint_ ^= bit;
+  hint_seen_ = ++pool_->steal_hint_version_;
+}
+
 bool SmpWorker::TrySteal() {
   if (victims_.empty()) {
     for (int i = 1; i < pool_->size(); ++i) {
       victims_.push_back(&pool_->worker((index_ + i) % pool_->size()));
     }
-    if (victims_.empty()) {
-      return false;
-    }
   }
   const CostModel& cost = cpu_.cost();
+  // The hint word lives on its own cache line, written only when a ring crosses
+  // the threshold. A copy this worker already holds is a local hit, free like
+  // polling its own empty ring; a hint some peer changed since comes over as one
+  // cache-line transfer.
+  if (hint_seen_ != pool_->steal_hint_version_) {
+    cpu_.Work(cost.cacheline_transfer_ns);
+    hint_seen_ = pool_->steal_hint_version_;
+  }
+  const std::uint64_t flagged = pool_->steal_hint_ & ~HintBit(index_);
+  if (flagged == 0) {
+    return false;  // no peer backed up: go idle rather than probe empty rings
+  }
   for (std::size_t k = 0; k < victims_.size(); ++k) {
     SmpWorker& victim = *victims_[(victim_cursor_ + k) % victims_.size()];
-    // Reading a remote ready ring is a cross-core cache probe, paid even when it
-    // comes back empty — spinning thieves are not free.
+    if ((flagged & HintBit(victim.index_)) == 0) {
+      continue;
+    }
+    // Reading a flagged peer's ready ring is a cross-core cache probe. The flag
+    // may be stale (the owner or another thief drained the ring since), so the
+    // probe re-checks the depth and heals the bit when it finds too little.
     cpu_.Work(cost.steal_probe_ns);
     cpu_.Count(Counter::kStealAttempts);
-    if (victim.libos_->ready_size() < cfg_.steal_threshold) {
+    if (victim.libos_->ready_size() < kStealThreshold) {
       cpu_.Count(Counter::kStealAborts);
+      RefreshHint(victim);
       continue;
     }
     // One cross-core kick per batch: the victim's next poll sees its rings and
@@ -184,13 +228,14 @@ bool SmpWorker::TrySteal() {
     cpu_.Work(cost.ipi_wakeup_ns);
     std::size_t moved = 0;
     ReadyCompletion rc;
-    while (moved < cfg_.steal_batch && victim.libos_->PopReady(&rc)) {
+    while (moved < kStealBatch && victim.libos_->PopReady(&rc)) {
       // The completion record and its op slot migrate to this core's cache.
       cpu_.Work(cost.cacheline_transfer_ns);
       cpu_.Count(Counter::kCompletionsStolen);
       HandleCompletion(rc, &victim);
       ++moved;
     }
+    RefreshHint(victim);
     victim_cursor_ = (victim_cursor_ + k + 1) % victims_.size();
     if (moved > 0) {
       return true;
@@ -218,13 +263,16 @@ bool SmpWorker::Poll() {
   }
   std::size_t handled = 0;
   ReadyCompletion rc;
-  while (handled < cfg_.consume_batch && libos_->PopReady(&rc)) {
+  while (handled < kConsumeBatch && libos_->PopReady(&rc)) {
     HandleCompletion(rc, this);
     ++handled;
     progress = true;
   }
-  if (cfg_.steal && handled == 0 && pool_->size() > 1) {
-    progress |= TrySteal();
+  if (pool_->stealing()) {
+    RefreshHint(*this);
+    if (handled == 0) {
+      progress |= TrySteal();
+    }
   }
   return progress;
 }
@@ -232,6 +280,7 @@ bool SmpWorker::Poll() {
 WorkerPool::WorkerPool(Simulation* sim, SimNic* nic, SmpConfig cfg)
     : cfg_(std::move(cfg)) {
   DEMI_CHECK(cfg_.workers >= 1);
+  DEMI_CHECK(cfg_.workers <= 64 && "one steal-hint bit per worker");
   DEMI_CHECK(nic->config().num_queues >= cfg_.workers &&
              "one NIC queue pair per sharded worker");
   sim->ConfigureCores(cfg_.workers + 1);

@@ -10,10 +10,14 @@
 //
 // The load-balancing hole in pure RSS sharding is skew: a hot shard's tail latency
 // collapses while its neighbours idle. The fix is ZygOS-style work stealing at the
-// *completion* layer: a worker that finds its own ready ring empty probes its peers
-// and executes ready completions (popped requests) for them, paying explicit
-// cross-core costs from the cost model — steal_probe_ns per probe,
-// cacheline_transfer_ns per migrated completion, ipi_wakeup_ns per steal batch.
+// *completion* layer: a worker that finds its own ready ring empty executes ready
+// completions (popped requests) for a backed-up peer. A pool-wide steal hint — one
+// word, bit w set while worker w's ring holds at least the steal threshold — tells
+// an idle worker which peers are worth probing, so with no flagged peer it goes
+// idle instead of spinning on empty rings. Thieves pay explicit cross-core costs
+// from the cost model: cacheline_transfer_ns to re-read a hint that changed,
+// steal_probe_ns per probe of a flagged victim, ipi_wakeup_ns per steal batch and
+// cacheline_transfer_ns per migrated completion.
 // Claiming a completion releases its qtoken (LibOS::PopReady), so exactly one
 // consumer ever handles it and a stale token is rejected with kBadDescriptor.
 // Responses are pushed back through the *owner's* libOS: the connection, its
@@ -49,17 +53,6 @@ struct SmpConfig {
   TimeNs request_cpu_ns = 500;
   // Completion stealing (ZygOS). Off = pure RSS sharding, the skew baseline.
   bool steal = true;
-  std::size_t steal_threshold = 4;  // victim ready-ring depth that justifies a steal
-  std::size_t steal_batch = 8;      // max completions moved per successful steal
-  // Max completions a worker consumes from its own ring per poll — bounded so a
-  // flooded worker's backlog stays visible to thieves between its bubbles instead
-  // of draining whole in one.
-  std::size_t consume_batch = 16;
-  // RX frames the worker's stack ingests per poll. Must comfortably exceed
-  // consume_batch in wire frames (a request is typically 2 frames: header part
-  // + payload part) or ingest and consumption lock in balance and an overloaded
-  // shard's queue hides in the NIC ring where thieves cannot see it.
-  std::size_t rx_batch = 128;
 };
 
 class WorkerPool;
@@ -78,8 +71,9 @@ class SmpWorker final : public Poller, public CompletionWatcher {
   SmpWorker& operator=(const SmpWorker&) = delete;
 
   // Worker loop, polled on core index()+1: dispatch deferred watched completions
-  // (accepts, push acks), consume up to consume_batch own ready completions, then
-  // steal from peers if idle.
+  // (accepts, push acks), consume a bounded batch of own ready completions,
+  // publish the ring depth to the steal hint, then steal from a flagged peer if
+  // idle.
   bool Poll() override;
   // Watched-token delivery (fires inside the libOS poll); deferred to our own Poll
   // so completion handling never re-enters libOS machinery mid-poll.
@@ -102,6 +96,9 @@ class SmpWorker final : public Poller, public CompletionWatcher {
   // this for home work, a peer for stolen work).
   void HandleCompletion(ReadyCompletion& rc, SmpWorker* owner);
   bool TrySteal();
+  // Sets or clears `w`'s steal-hint bit from its current ring depth. When the bit
+  // flips this worker is the writer, so its own copy of the hint is current.
+  void RefreshHint(const SmpWorker& w);
   SgArray ResponseSga(std::uint32_t bytes);
 
   WorkerPool* pool_;
@@ -116,6 +113,7 @@ class SmpWorker final : public Poller, public CompletionWatcher {
   std::vector<QToken> watched_scratch_;
   std::vector<SmpWorker*> victims_;  // steal order, built lazily on first probe
   std::size_t victim_cursor_ = 0;    // round-robin start within victims_
+  std::uint64_t hint_seen_ = 0;      // steal-hint version this worker last read or wrote
   std::uint64_t served_ = 0;
   std::uint64_t stolen_executed_ = 0;
   std::uint64_t accepted_ = 0;
@@ -123,8 +121,9 @@ class SmpWorker final : public Poller, public CompletionWatcher {
 
 class WorkerPool {
  public:
-  // Configures the simulation for workers+1 cores and builds every worker. The NIC
-  // is the (already multi-queue) bypass device all shards share.
+  // Configures the simulation for workers+1 cores (at most 64 workers: one steal
+  // hint bit each) and builds every worker. The NIC is the (already multi-queue)
+  // bypass device all shards share.
   WorkerPool(Simulation* sim, SimNic* nic, SmpConfig cfg);
 
   int size() const { return static_cast<int>(workers_.size()); }
@@ -139,8 +138,18 @@ class WorkerPool {
   std::size_t total_pending_ops() const;
 
  private:
+  friend class SmpWorker;
+
+  // Whether workers steal (and so maintain the hint): 1-worker pools never do.
+  bool stealing() const { return cfg_.steal && cfg_.workers > 1; }
+
   SmpConfig cfg_;
   std::vector<std::unique_ptr<SmpWorker>> workers_;
+  // Steal hint: bit w is set while worker w's ready ring holds at least the steal
+  // threshold. The version counts the stores that changed it, so a thief can tell
+  // whether its cached copy is still current.
+  std::uint64_t steal_hint_ = 0;
+  std::uint64_t steal_hint_version_ = 0;
 };
 
 }  // namespace demi

@@ -54,9 +54,6 @@ SmpHarness::SmpHarness(SmpHarnessConfig cfg)
   smp.seed = Mix(cfg_.seed, 0x5e71);
   smp.request_cpu_ns = cfg_.server_request_cpu_ns;
   smp.steal = cfg_.steal;
-  smp.steal_threshold = cfg_.steal_threshold;
-  smp.steal_batch = cfg_.steal_batch;
-  smp.consume_batch = cfg_.consume_batch;
   pool_ = std::make_unique<WorkerPool>(&sim_, server_nic_.get(), smp);
 
   NicConfig client_nic_cfg;

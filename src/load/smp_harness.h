@@ -49,11 +49,8 @@ struct SmpHarnessConfig {
   TcpConfig tcp;            // both sides; listen_backlog raised to >= 4096
   // Per-request service time charged on the executing worker core.
   TimeNs server_request_cpu_ns = 500;
-  // Completion stealing knobs, passed through to SmpConfig.
+  // Completion stealing, passed through to SmpConfig.
   bool steal = true;
-  std::size_t steal_threshold = 4;
-  std::size_t steal_batch = 8;
-  std::size_t consume_batch = 16;
   // Zipf-ish exponent over shard index: connection weight 1/(shard+1)^skew.
   // 0 = uniform offered load across shards.
   double shard_skew = 0.0;

@@ -1,7 +1,8 @@
 // Multi-core scale-out tests (DESIGN.md §13): per-core event contexts and metrics,
 // the PopReady stale-token contract behind completion stealing, RSS sharding across
-// worker libOSes, steal accounting, NIC-death chaos (no hung qtokens), and bit
-// determinism of the whole SMP harness at every core count.
+// worker libOSes, steal accounting, the steal hint (idle workers probe no one),
+// NIC-death chaos (no hung qtokens), and bit determinism of the whole SMP harness
+// at every core count.
 
 #include <gtest/gtest.h>
 
@@ -175,6 +176,29 @@ TEST(SmpHarness, StealingMovesCompletionsOffTheHotShard) {
   EXPECT_GT(h.pool().total_stolen(), 0u);
   EXPECT_EQ(h.sim().counters().Get(Counter::kCompletionsStolen),
             h.pool().total_stolen());
+  // Thieves probe only peers the steal hint flags as backed up, so probes are
+  // the exception, not the idle loop: no more probes than completions stolen.
+  EXPECT_LE(h.sim().counters().Get(Counter::kStealAttempts), h.pool().total_stolen());
+}
+
+TEST(SmpHarness, IdlePoolChargesNoCpu) {
+  SmpHarness h(SmallSmp(4));
+  ASSERT_TRUE(h.Ramp());
+  h.StopLoad();
+  h.sim().RunFor(kMillisecond);  // drain what the ramp left in flight
+  std::vector<std::uint64_t> busy;
+  for (int w = 0; w < 4; ++w) {
+    busy.push_back(h.pool().worker(w).cpu().busy_ns());
+  }
+  const std::uint64_t attempts = h.sim().counters().Get(Counter::kStealAttempts);
+  // No offered load: with no ring past the steal threshold the hint is clear, so
+  // an idle worker neither probes its peers nor burns a nanosecond.
+  h.sim().RunFor(10 * kMillisecond);
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_EQ(h.pool().worker(w).cpu().busy_ns(), busy[static_cast<std::size_t>(w)])
+        << "worker " << w;
+  }
+  EXPECT_EQ(h.sim().counters().Get(Counter::kStealAttempts), attempts);
 }
 
 TEST(SmpHarness, NicDeathLeavesNoHungQToken) {
