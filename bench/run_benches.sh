@@ -12,6 +12,8 @@
 # Environment:
 #   BENCH_BUILD_DIR     build directory (default: <repo>/build-bench)
 #   BENCH_OUT           output json (default: <repo>/BENCH_datapath.json)
+#   BENCH_TENANTS_OUT, BENCH_SMP_OUT, BENCH_STORAGE_OUT, BENCH_CONTROLPATH_OUT
+#                       the per-bench metrics files (default: <repo>/BENCH_<name>.json)
 #   BENCH_RUNS          timing runs per bench; wall_ms is the min (default: 5)
 #   BENCH_BASELINE_BUILD_DIR
 #                       prebuilt bench binaries of a baseline tree. When set, each
@@ -210,139 +212,54 @@ emit_section() {  # label -> json on stdout
 EOF
 }
 
-declare -A SECTIONS
-for label in "${LABELS[@]}"; do
-  SECTIONS[$label]="$(emit_section "$label")"
-done
-
-if command -v jq >/dev/null && [[ -f "$OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "${SECTIONS[$label]}" ". + {\"$label\": \$section}" "$OUT" > "$OUT.tmp"
-    mv "$OUT.tmp" "$OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
+# Merges one section per label into json file $1: with jq, into the file's existing
+# sections, so before/after pairs diff in one file. The remaining arguments are the
+# command that prints a label's section, given the label as its last argument.
+merge_sections() {  # out emit-command...
+  local out=$1 label sep
+  shift
+  if command -v jq >/dev/null && [[ -f "$out" ]]; then
     for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "${SECTIONS[$label]}"
-      sep=','
+      jq --argjson section "$("$@" "$label")" ". + {\"$label\": \$section}" "$out" \
+        > "$out.tmp"
+      mv "$out.tmp" "$out"
     done
-    printf '\n}\n'
-  } > "$OUT"
-fi
+  else
+    {
+      printf '{'
+      sep=''
+      for label in "${LABELS[@]}"; do
+        printf '%s\n  "%s": %s' "$sep" "$label" "$("$@" "$label")"
+        sep=','
+      done
+      printf '\n}\n'
+    } > "$out"
+  fi
+}
+
+merge_sections "$OUT" emit_section
 echo "wrote section(s) ${LABELS[*]} to $OUT"
 
-# Tenant fairness: per-label section is wall time plus the bench's own metrics
-# snapshot (per-tenant DWRR shares, on/off arms). Merged into BENCH_tenants.json
-# the same way as BENCH_datapath.json so before/after pairs diff in one file.
-emit_tenant_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_t2_tenants.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_t2_tenants]}" "$m"
+# The other BENCH files hold, per label, a bench's wall time plus its own metrics
+# snapshot:
+#   BENCH_tenants.json      t2: per-tenant DWRR shares, on/off arms;
+#   BENCH_smp.json          s1: 1->N worker scaling curves for echo/KV, skewed-tail
+#                           steal on/off arms, determinism flag;
+#   BENCH_storage.json      e3: catfish append latency quantiles and the
+#                           host-vs-pushdown index lookup summary (us/op,
+#                           completions/op, doorbells/op, nvme/op);
+#   BENCH_controlpath.json  f2: fastcall-vs-syscall control-op pricing, one-crossing
+#                           AcceptBatch drains, and the adaptive scenario's policy-off
+#                           vs policy-on arms with tenant slot accounting.
+emit_metrics_section() {  # bench label -> json on stdout
+  local bench=$1 label=$2 m
+  m=$(cat "$TMP/metrics-$label/$bench.metrics.json" 2>/dev/null || echo '{}')
+  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/$bench]}" "$m"
 }
 
-if command -v jq >/dev/null && [[ -f "$TENANTS_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_tenant_section "$label")" \
-      ". + {\"$label\": \$section}" "$TENANTS_OUT" > "$TENANTS_OUT.tmp"
-    mv "$TENANTS_OUT.tmp" "$TENANTS_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_tenant_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$TENANTS_OUT"
-fi
-echo "wrote tenant section(s) ${LABELS[*]} to $TENANTS_OUT"
-
-# Multi-core scale-out: wall time plus the bench's own metrics snapshot (1->N
-# worker scaling curves for echo/KV, skewed-tail steal on/off arms, determinism
-# flag). Merged into BENCH_smp.json so before/after pairs diff in one file.
-emit_smp_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_s1_scaling.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_s1_scaling]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$SMP_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_smp_section "$label")" \
-      ". + {\"$label\": \$section}" "$SMP_OUT" > "$SMP_OUT.tmp"
-    mv "$SMP_OUT.tmp" "$SMP_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_smp_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$SMP_OUT"
-fi
-echo "wrote smp section(s) ${LABELS[*]} to $SMP_OUT"
-
-# Storage push-down: wall time plus the e3 bench's metrics snapshot (catfish append
-# latency quantiles + the host-vs-pushdown index lookup summary: us/op,
-# completions/op, doorbells/op, nvme/op at the measured depth). Merged into
-# BENCH_storage.json so before/after pairs diff in one file.
-emit_storage_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_e3_storage.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_e3_storage]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$STORAGE_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_storage_section "$label")" \
-      ". + {\"$label\": \$section}" "$STORAGE_OUT" > "$STORAGE_OUT.tmp"
-    mv "$STORAGE_OUT.tmp" "$STORAGE_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_storage_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$STORAGE_OUT"
-fi
-echo "wrote storage section(s) ${LABELS[*]} to $STORAGE_OUT"
-
-# Control path: wall time plus the f2 bench's metrics snapshot (fastcall-vs-syscall
-# control-op pricing, one-crossing AcceptBatch drains, and the adaptive scenario's
-# policy-off vs policy-on arms with tenant slot accounting). Merged into
-# BENCH_controlpath.json so before/after pairs diff in one file.
-emit_controlpath_section() {  # label -> json on stdout
-  local label=$1 m
-  m=$(cat "$TMP/metrics-$label/bench_f2_controlpath.metrics.json" 2>/dev/null || echo '{}')
-  printf '{"wall_ms": %s, "metrics": %s}' "${WALL_MS[$label/bench_f2_controlpath]}" "$m"
-}
-
-if command -v jq >/dev/null && [[ -f "$CONTROLPATH_OUT" ]]; then
-  for label in "${LABELS[@]}"; do
-    jq --argjson section "$(emit_controlpath_section "$label")" \
-      ". + {\"$label\": \$section}" "$CONTROLPATH_OUT" > "$CONTROLPATH_OUT.tmp"
-    mv "$CONTROLPATH_OUT.tmp" "$CONTROLPATH_OUT"
-  done
-else
-  {
-    printf '{'
-    sep=''
-    for label in "${LABELS[@]}"; do
-      printf '%s\n  "%s": %s' "$sep" "$label" "$(emit_controlpath_section "$label")"
-      sep=','
-    done
-    printf '\n}\n'
-  } > "$CONTROLPATH_OUT"
-fi
-echo "wrote controlpath section(s) ${LABELS[*]} to $CONTROLPATH_OUT"
+METRICS_BENCHES=(bench_t2_tenants bench_s1_scaling bench_e3_storage bench_f2_controlpath)
+METRICS_OUTS=("$TENANTS_OUT" "$SMP_OUT" "$STORAGE_OUT" "$CONTROLPATH_OUT")
+for i in "${!METRICS_BENCHES[@]}"; do
+  merge_sections "${METRICS_OUTS[$i]}" emit_metrics_section "${METRICS_BENCHES[$i]}"
+  echo "wrote ${METRICS_BENCHES[$i]} section(s) ${LABELS[*]} to ${METRICS_OUTS[$i]}"
+done

@@ -501,31 +501,13 @@ Status CatfishFileQueue::Close() {
   // after Close() returns, so a completion landing later must find *alive_ false.
   *alive_ = false;
 
-  // Deliver push-down results that already finished on the device, then fail every
-  // still-outstanding token with kCancelled — no qtoken is ever left pending.
+  // Deliver push-down results that already finished on the device; LibOS::Close
+  // cancels every token still outstanding.
   while (!ready_pushdowns_.empty()) {
     auto [token, res] = std::move(ready_pushdowns_.front());
     ready_pushdowns_.pop_front();
     libos_->CompleteOp(token, std::move(res));
   }
-  auto cancel = [this](QToken token, OpType op) {
-    QResult res;
-    res.op = op;
-    res.status = Cancelled("file queue closed");
-    libos_->CompleteOp(token, std::move(res));
-  };
-  for (const auto& push : pending_pushes_) {
-    cancel(push->token, OpType::kPush);
-  }
-  pending_pushes_.clear();
-  for (QToken token : pending_pops_) {
-    cancel(token, OpType::kPop);
-  }
-  pending_pops_.clear();
-  for (QToken token : pending_pushdowns_) {
-    cancel(token, OpType::kPop);
-  }
-  pending_pushdowns_.clear();
   return OkStatus();
 }
 

@@ -135,8 +135,8 @@ class CatfishFileQueue final : public IoQueue {
   Status StartPush(QToken token, const SgArray& sga) override;
   Status StartPop(QToken token) override;
   bool Progress(CompletionSink& sink) override;
-  // Fails every outstanding push/pop/push-down with kCancelled before closing — the
-  // PR 1 invariant: no qtoken is ever left pending.
+  // Stops device continuations and delivers push-down results that already finished;
+  // LibOS::Close then cancels every push, pop and push-down still outstanding.
   Status Close() override;
 
   // --- push-down offload hooks (DESIGN.md §14) ---

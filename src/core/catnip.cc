@@ -59,7 +59,12 @@ CatnipLibOS::CatnipLibOS(HostCpu* host, SimNic* nic, SimKernel* control_kernel,
 }
 
 Result<std::unique_ptr<IoQueue>> CatnipLibOS::NewSocketQueue() {
-  return std::unique_ptr<IoQueue>(new CatnipTcpQueue(this, nullptr));
+  // The socket's data path is chosen here, once; the only other choice is a session
+  // listener's plain-peer handoff (CatnipSessionQueue::PumpEmbryo).
+  if (config_.recovery.enabled) {
+    return std::unique_ptr<IoQueue>(std::make_unique<CatnipSessionQueue>(this));
+  }
+  return std::unique_ptr<IoQueue>(std::make_unique<CatnipTcpQueue>(this, nullptr));
 }
 
 bool CatnipLibOS::PollDevice() {
@@ -79,28 +84,19 @@ Result<QDesc> CatnipLibOS::SocketUdp() {
 
 CatnipTcpQueue::CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn)
     : libos_(libos), conn_(conn) {
-  // Accepted plain connections (conn != null) never speak the recovery protocol:
-  // recovery sessions are built through the listener's embryo path instead, so a
-  // recovery-enabled server still interoperates with plain-mode peers.
-  recovery_ = libos->recovery().enabled && conn == nullptr;
-  if (recovery_) {
-    const RecoveryConfig& cfg = libos->recovery();
-    log_ = ReplayLog(cfg.replay_log_limit);
-    breaker_ = CircuitBreaker(cfg.breaker_threshold);
-    rng_ = Rng(cfg.seed ^ libos->NewSessionId());
-    alive_ = std::make_shared<bool>(true);
-    heat_.set_halflife(libos->path_policy().config().heat_halflife_ns);
-  }
   AttachReadyHook();  // accepted connections arrive with conn_ already live
+}
+
+CatnipTcpQueue::CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn,
+                               FrameDecoder decoder, SgArray first)
+    : CatnipTcpQueue(libos, conn) {
+  decoder_ = std::move(decoder);
+  preloaded_ = std::move(first);
 }
 
 CatnipTcpQueue::~CatnipTcpQueue() {
   if (ready_hook_attached_ && conn_ != nullptr) {
     conn_->set_on_ready(nullptr);  // the connection outlives us (stack-owned)
-  }
-  ReleaseFastResources();
-  if (recovery_ && session_id_ != 0 && libos_->FindSession(session_id_) == this) {
-    libos_->UnregisterSession(session_id_);
   }
 }
 
@@ -114,10 +110,7 @@ void CatnipTcpQueue::AttachReadyHook() {
 }
 
 bool CatnipTcpQueue::Quiescent() const {
-  if (recovery_) {
-    return false;  // session timers/handshakes need visits; recovery uses dense polling
-  }
-  if (!pending_pushes_.empty() || !preloaded_.empty()) {
+  if (!pending_pushes_.empty() || preloaded_.has_value()) {
     return false;
   }
   if (conn_ == nullptr) {
@@ -142,97 +135,45 @@ Status CatnipTcpQueue::Listen() {
   auto listener = libos_->stack().TcpListen(bound_port_);
   RETURN_IF_ERROR(listener.status());
   listener_ = *listener;
-  if (recovery_ && libos_->kernel() != nullptr) {
-    // Legacy-path twin: the same port on the kernel stack, so sessions can reattach
-    // even when the bypass NIC is gone.
-    SimKernel* kernel = libos_->kernel();
-    auto fd = kernel->Socket();
-    if (fd.ok() && kernel->Bind(*fd, bound_port_).ok() && kernel->Listen(*fd).ok()) {
-      kernel_listen_fd_ = *fd;
-    } else if (fd.ok()) {
-      (void)kernel->CloseFd(*fd);
-    }
-  }
   return OkStatus();
 }
 
 Result<std::unique_ptr<IoQueue>> CatnipTcpQueue::TryAccept() {
-  if (!recovery_) {
-    if (listener_ == nullptr) {
-      return Status(ErrorCode::kInvalidArgument, "not listening");
-    }
-    TcpConnection* conn = listener_->Accept();
-    if (conn == nullptr) {
-      return Status(ErrorCode::kWouldBlock);
-    }
-    return std::unique_ptr<IoQueue>(new CatnipTcpQueue(libos_, conn));
-  }
-  if (listener_ == nullptr && kernel_listen_fd_ < 0) {
+  if (listener_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "not listening");
   }
-  (void)ProgressListener(*libos_);
-  if (accept_ready_.empty()) {
+  TcpConnection* conn = listener_->Accept();
+  if (conn == nullptr) {
     return Status(ErrorCode::kWouldBlock);
   }
-  std::unique_ptr<IoQueue> q = std::move(accept_ready_.front());
-  accept_ready_.pop_front();
-  return q;
+  return std::unique_ptr<IoQueue>(std::make_unique<CatnipTcpQueue>(libos_, conn));
 }
 
 Status CatnipTcpQueue::StartConnect(Endpoint remote) {
-  if (!recovery_) {
-    if (conn_ != nullptr) {
-      return Status(ErrorCode::kAlreadyConnected, "connect");
-    }
-    auto conn = libos_->stack().TcpConnect(remote);
-    RETURN_IF_ERROR(conn.status());
-    conn_ = *conn;
-    AttachReadyHook();
-    return OkStatus();
-  }
-  if (session_id_ != 0) {
+  if (conn_ != nullptr) {
     return Status(ErrorCode::kAlreadyConnected, "connect");
   }
-  is_client_ = true;
-  session_id_ = libos_->NewSessionId();
-  primary_remote_ = remote;
-  outage_start_ = now();
-  attempt_ = 0;
-  target_ = Target::kFast;
-  in_outage_ = false;
-  // The initial dial goes through the same retry machinery as a mid-session outage,
-  // so a connect racing a fault is retried instead of surfacing kDeviceFailed.
-  BeginAttempt();
+  auto conn = libos_->stack().TcpConnect(remote);
+  RETURN_IF_ERROR(conn.status());
+  conn_ = *conn;
+  AttachReadyHook();
   return OkStatus();
 }
 
 Status CatnipTcpQueue::ConnectStatus() {
-  if (!recovery_) {
-    if (conn_ == nullptr) {
-      return NotConnected("connect not started");
-    }
-    if (libos_->stack().device_failed()) {
-      return DeviceFailed("nic is dead");
-    }
-    if (conn_->established()) {
-      return OkStatus();
-    }
-    if (conn_->dead()) {
-      return ConnectionRefused("connect failed");
-    }
-    return WouldBlock();
-  }
-  if (session_id_ == 0 || !is_client_) {
+  if (conn_ == nullptr) {
     return NotConnected("connect not started");
   }
-  switch (phase_) {
-    case Phase::kActive:
-      return OkStatus();
-    case Phase::kFailed:
-      return stream_error_.ok() ? ConnectionRefused("connect failed") : stream_error_;
-    default:
-      return WouldBlock();
+  if (libos_->stack().device_failed()) {
+    return DeviceFailed("nic is dead");
   }
+  if (conn_->established()) {
+    return OkStatus();
+  }
+  if (conn_->dead()) {
+    return ConnectionRefused("connect failed");
+  }
+  return WouldBlock();
 }
 
 Status CatnipTcpQueue::StartPush(QToken token, const SgArray& sga) {
@@ -240,37 +181,18 @@ Status CatnipTcpQueue::StartPush(QToken token, const SgArray& sga) {
     return BadDescriptor("push on closed queue");
   }
   libos_->MarkDirty(this);
-  if (!recovery_) {
-    if (conn_ == nullptr) {
-      return NotConnected("push before connect");
-    }
-    PendingPush push;
-    push.token = token;
-    // Zero copy: the wire parts reference the application's sga segments. The TCP
-    // stack holds those references until acknowledged — free-protection does the rest
-    // (§4.5).
-    for (Buffer& part : EncodeFrame(sga, &libos_->memory())) {
-      push.parts.push_back(std::move(part));
-    }
-    pending_pushes_.push_back(std::move(push));
-    return OkStatus();
-  }
-  if (session_id_ == 0) {
+  if (conn_ == nullptr) {
     return NotConnected("push before connect");
   }
-  if (phase_ == Phase::kFailed) {
-    QResult res;
-    res.op = OpType::kPush;
-    res.status = stream_error_.ok() ? ConnectionReset("session failed") : stream_error_;
-    libos_->CompleteOp(token, std::move(res));
-    return OkStatus();
+  PendingPush push;
+  push.token = token;
+  // Zero copy: the wire parts reference the application's sga segments. The TCP
+  // stack holds those references until acknowledged — free-protection does the rest
+  // (§4.5).
+  for (Buffer& part : EncodeFrame(sga, &libos_->memory())) {
+    push.parts.push_back(std::move(part));
   }
-  // The push completes once the element enters the replay log (the session has taken
-  // responsibility for delivery); a full log exerts backpressure by parking the token.
-  if (libos_->path_policy().enabled()) {
-    heat_.Record(now());
-  }
-  staged_pushes_.emplace_back(token, sga);
+  pending_pushes_.push_back(std::move(push));
   return OkStatus();
 }
 
@@ -279,40 +201,14 @@ Status CatnipTcpQueue::StartPop(QToken token) {
     return BadDescriptor("pop on closed queue");
   }
   libos_->MarkDirty(this);
-  if (!recovery_) {
-    if (conn_ == nullptr) {
-      return NotConnected("pop before connect");
-    }
-    pending_pops_.push_back(token);
-    return OkStatus();
-  }
-  if (session_id_ == 0) {
+  if (conn_ == nullptr) {
     return NotConnected("pop before connect");
   }
-  if (phase_ == Phase::kFailed && ready_elements_.empty()) {
-    QResult res;
-    res.op = OpType::kPop;
-    res.status = stream_error_.ok() ? ConnectionReset("session failed") : stream_error_;
-    libos_->CompleteOp(token, std::move(res));
-    return OkStatus();
-  }
-  if (libos_->path_policy().enabled()) {
-    heat_.Record(now());
-  }
   pending_pops_.push_back(token);
-  if (phase_ == Phase::kFailed) {
-    (void)ServePops();
-  }
   return OkStatus();
 }
 
 Status CatnipTcpQueue::Cancel(QToken token) {
-  for (auto it = staged_pushes_.begin(); it != staged_pushes_.end(); ++it) {
-    if (it->first == token) {
-      staged_pushes_.erase(it);
-      return OkStatus();
-    }
-  }
   for (auto it = pending_pushes_.begin(); it != pending_pushes_.end(); ++it) {
     if (it->token == token) {
       pending_pushes_.erase(it);
@@ -329,21 +225,6 @@ Status CatnipTcpQueue::Cancel(QToken token) {
 }
 
 bool CatnipTcpQueue::Progress(CompletionSink& sink) {
-  if (!recovery_) {
-    return ProgressPlain(sink);
-  }
-  if (closed_) {
-    return false;
-  }
-  if (listener_ != nullptr || kernel_listen_fd_ >= 0) {
-    return ProgressListener(sink);
-  }
-  return ProgressRecovery(sink);
-}
-
-// The pre-recovery data path, unchanged — plus serving elements inherited from an
-// embryo handoff (preloaded_).
-bool CatnipTcpQueue::ProgressPlain(CompletionSink& sink) {
   if (closed_ || conn_ == nullptr) {
     return false;
   }
@@ -398,11 +279,11 @@ bool CatnipTcpQueue::ProgressPlain(CompletionSink& sink) {
     progress = true;
   }
 
-  while (!pending_pops_.empty() && !preloaded_.empty()) {
+  if (!pending_pops_.empty() && preloaded_.has_value()) {
     QResult res;
     res.op = OpType::kPop;
-    res.sga = std::move(preloaded_.front());
-    preloaded_.pop_front();
+    res.sga = std::move(*preloaded_);
+    preloaded_.reset();
     sink.CompleteOp(pending_pops_.front(), std::move(res));
     pending_pops_.pop_front();
     progress = true;
@@ -455,10 +336,173 @@ bool CatnipTcpQueue::ProgressPlain(CompletionSink& sink) {
   return progress;
 }
 
+Status CatnipTcpQueue::Close() {
+  if (closed_) {
+    return OkStatus();
+  }
+  closed_ = true;
+  if (conn_ != nullptr) {
+    conn_->Close();
+  }
+  return OkStatus();
+}
+
+// --- CatnipSessionQueue ---
+
+CatnipSessionQueue::CatnipSessionQueue(CatnipLibOS* libos)
+    : libos_(libos),
+      log_(libos->recovery().replay_log_limit),
+      breaker_(libos->recovery().breaker_threshold),
+      rng_(libos->recovery().seed ^ libos->NewSessionId()),
+      alive_(std::make_shared<bool>(true)) {
+  heat_.set_halflife(libos->path_policy().config().heat_halflife_ns);
+}
+
+CatnipSessionQueue::~CatnipSessionQueue() {
+  ReleaseFastResources();
+  if (session_id_ != 0 && libos_->FindSession(session_id_) == this) {
+    libos_->UnregisterSession(session_id_);
+  }
+}
+
+Status CatnipSessionQueue::Bind(std::uint16_t port) {
+  bound_port_ = port;
+  return OkStatus();
+}
+
+Status CatnipSessionQueue::Listen() {
+  if (bound_port_ == 0) {
+    return InvalidArgument("listen requires bind");
+  }
+  auto listener = libos_->stack().TcpListen(bound_port_);
+  RETURN_IF_ERROR(listener.status());
+  listener_ = *listener;
+  if (libos_->kernel() != nullptr) {
+    // Legacy-path twin: the same port on the kernel stack, so sessions can reattach
+    // even when the bypass NIC is gone.
+    SimKernel* kernel = libos_->kernel();
+    auto fd = kernel->Socket();
+    if (fd.ok() && kernel->Bind(*fd, bound_port_).ok() && kernel->Listen(*fd).ok()) {
+      kernel_listen_fd_ = *fd;
+    } else if (fd.ok()) {
+      (void)kernel->CloseFd(*fd);
+    }
+  }
+  return OkStatus();
+}
+
+Result<std::unique_ptr<IoQueue>> CatnipSessionQueue::TryAccept() {
+  if (listener_ == nullptr && kernel_listen_fd_ < 0) {
+    return Status(ErrorCode::kInvalidArgument, "not listening");
+  }
+  (void)ProgressListener();
+  if (accept_ready_.empty()) {
+    return Status(ErrorCode::kWouldBlock);
+  }
+  std::unique_ptr<IoQueue> q = std::move(accept_ready_.front());
+  accept_ready_.pop_front();
+  return q;
+}
+
+Status CatnipSessionQueue::StartConnect(Endpoint remote) {
+  if (session_id_ != 0) {
+    return Status(ErrorCode::kAlreadyConnected, "connect");
+  }
+  is_client_ = true;
+  session_id_ = libos_->NewSessionId();
+  primary_remote_ = remote;
+  outage_start_ = now();
+  attempt_ = 0;
+  target_ = Target::kFast;
+  in_outage_ = false;
+  // The initial dial goes through the same retry machinery as a mid-session outage,
+  // so a connect racing a fault is retried instead of surfacing kDeviceFailed.
+  BeginAttempt();
+  return OkStatus();
+}
+
+Status CatnipSessionQueue::ConnectStatus() {
+  if (session_id_ == 0 || !is_client_) {
+    return NotConnected("connect not started");
+  }
+  switch (phase_) {
+    case Phase::kActive:
+      return OkStatus();
+    case Phase::kFailed:
+      return stream_error_.ok() ? ConnectionRefused("connect failed") : stream_error_;
+    default:
+      return WouldBlock();
+  }
+}
+
+Status CatnipSessionQueue::StartPush(QToken token, const SgArray& sga) {
+  if (closed_) {
+    return BadDescriptor("push on closed queue");
+  }
+  libos_->MarkDirty(this);
+  if (session_id_ == 0) {
+    return NotConnected("push before connect");
+  }
+  if (phase_ == Phase::kFailed) {
+    QResult res;
+    res.op = OpType::kPush;
+    res.status = stream_error_.ok() ? ConnectionReset("session failed") : stream_error_;
+    libos_->CompleteOp(token, std::move(res));
+    return OkStatus();
+  }
+  // The push completes once the element enters the replay log (the session has taken
+  // responsibility for delivery); a full log exerts backpressure by parking the token.
+  if (libos_->path_policy().enabled()) {
+    heat_.Record(now());
+  }
+  staged_pushes_.emplace_back(token, sga);
+  return OkStatus();
+}
+
+Status CatnipSessionQueue::StartPop(QToken token) {
+  if (closed_) {
+    return BadDescriptor("pop on closed queue");
+  }
+  libos_->MarkDirty(this);
+  if (session_id_ == 0) {
+    return NotConnected("pop before connect");
+  }
+  if (phase_ == Phase::kFailed && ready_elements_.empty()) {
+    QResult res;
+    res.op = OpType::kPop;
+    res.status = stream_error_.ok() ? ConnectionReset("session failed") : stream_error_;
+    libos_->CompleteOp(token, std::move(res));
+    return OkStatus();
+  }
+  if (libos_->path_policy().enabled()) {
+    heat_.Record(now());
+  }
+  pending_pops_.push_back(token);
+  if (phase_ == Phase::kFailed) {
+    (void)ServePops();
+  }
+  return OkStatus();
+}
+
+Status CatnipSessionQueue::Cancel(QToken token) {
+  for (auto it = staged_pushes_.begin(); it != staged_pushes_.end(); ++it) {
+    if (it->first == token) {
+      staged_pushes_.erase(it);
+      return OkStatus();
+    }
+  }
+  for (auto it = pending_pops_.begin(); it != pending_pops_.end(); ++it) {
+    if (*it == token) {
+      pending_pops_.erase(it);
+      return OkStatus();
+    }
+  }
+  return NotFound("token not pending on this queue");
+}
+
 // --- recovery: listener ---
 
-bool CatnipTcpQueue::ProgressListener(CompletionSink& sink) {
-  (void)sink;
+bool CatnipSessionQueue::ProgressListener() {
   bool progress = false;
   if (listener_ != nullptr) {
     while (TcpConnection* c = listener_->Accept()) {
@@ -497,7 +541,7 @@ bool CatnipTcpQueue::ProgressListener(CompletionSink& sink) {
 }
 
 // Returns true when the embryo resolved (adopted, promoted, or dropped).
-bool CatnipTcpQueue::PumpEmbryo(Embryo& embryo) {
+bool CatnipSessionQueue::PumpEmbryo(Embryo& embryo) {
   while (true) {
     Buffer chunk = embryo.transport.Recv(65536);
     if (chunk.empty()) {
@@ -519,14 +563,13 @@ bool CatnipTcpQueue::PumpEmbryo(Embryo& embryo) {
   }
   SgArray first = std::move(**decoded);
   if (auto hello = ParseHello(first); hello.has_value() && !hello->is_ack) {
-    CatnipTcpQueue* existing = libos_->FindSession(hello->session_id);
+    CatnipSessionQueue* existing = libos_->FindSession(hello->session_id);
     if (existing != nullptr) {
       // Reattach: route the new transport to the live session, silently.
       existing->AdoptTransport(std::move(embryo.transport), std::move(embryo.decoder),
                                hello->last_rx_seq);
     } else {
-      auto queue = std::unique_ptr<CatnipTcpQueue>(new CatnipTcpQueue(libos_, nullptr));
-      queue->is_client_ = false;
+      auto queue = std::make_unique<CatnipSessionQueue>(libos_);
       queue->session_id_ = hello->session_id;
       libos_->RegisterSession(queue->session_id_, queue.get());
       queue->AdoptTransport(std::move(embryo.transport), std::move(embryo.decoder),
@@ -536,21 +579,20 @@ bool CatnipTcpQueue::PumpEmbryo(Embryo& embryo) {
     return true;
   }
   if (embryo.transport.kind() == FailoverTransport::Kind::kFast) {
-    // A plain-mode peer: the embryo becomes an ordinary queue, keeping the decoder
-    // state and the already-decoded first element.
-    TcpConnection* conn = embryo.transport.ReleaseFast();
-    auto queue = std::unique_ptr<CatnipTcpQueue>(new CatnipTcpQueue(libos_, conn));
-    queue->decoder_ = std::move(embryo.decoder);
-    queue->preloaded_.push_back(std::move(first));
-    accept_ready_.push_back(std::move(queue));
+    // A plain-mode peer: the embryo becomes a plain queue, keeping the decoder state
+    // and the already-decoded first element.
+    accept_ready_.push_back(std::make_unique<CatnipTcpQueue>(
+        libos_, embryo.transport.ReleaseFast(), std::move(embryo.decoder),
+        std::move(first)));
     return true;
   }
   embryo.transport.Abort();  // legacy-path peer that doesn't speak recovery
   return true;
 }
 
-void CatnipTcpQueue::AdoptTransport(FailoverTransport transport, FrameDecoder decoder,
-                                    std::uint64_t peer_last_rx) {
+void CatnipSessionQueue::AdoptTransport(FailoverTransport transport,
+                                        FrameDecoder decoder,
+                                        std::uint64_t peer_last_rx) {
   ++attempt_epoch_;  // cancels any park-deadline or attempt timer
   transport_ = std::move(transport);
   decoder_ = std::move(decoder);
@@ -572,7 +614,7 @@ void CatnipTcpQueue::AdoptTransport(FailoverTransport transport, FrameDecoder de
 
 // --- recovery: connecting-side state machine ---
 
-void CatnipTcpQueue::BeginAttempt() {
+void CatnipSessionQueue::BeginAttempt() {
   if (now() > OutageDeadline()) {
     GiveUp(RetryExhausted("recovery deadline exceeded"));
     return;
@@ -605,7 +647,7 @@ void CatnipTcpQueue::BeginAttempt() {
   ArmAttemptTimer();
 }
 
-void CatnipTcpQueue::OnAttemptEstablished() {
+void CatnipSessionQueue::OnAttemptEstablished() {
   // Fresh byte stream: everything unacknowledged must be re-sent behind a HELLO.
   decoder_ = FrameDecoder();
   control_parts_.clear();
@@ -618,7 +660,7 @@ void CatnipTcpQueue::OnAttemptEstablished() {
   // The attempt timer armed by BeginAttempt stays live: it covers the handshake too.
 }
 
-void CatnipTcpQueue::OnAttemptFailed() {
+void CatnipSessionQueue::OnAttemptFailed() {
   ++attempt_epoch_;
   transport_.Abort();
   phase_ = Phase::kIdle;
@@ -650,7 +692,7 @@ void CatnipTcpQueue::OnAttemptFailed() {
   });
 }
 
-void CatnipTcpQueue::OnHandshakeComplete() {
+void CatnipSessionQueue::OnHandshakeComplete() {
   ++attempt_epoch_;  // disarms the attempt timer
   phase_ = Phase::kActive;
   attempt_ = 0;
@@ -702,12 +744,12 @@ void CatnipTcpQueue::OnHandshakeComplete() {
   }
 }
 
-void CatnipTcpQueue::StartOutage() {
+void CatnipSessionQueue::StartOutage() {
   // A tripped breaker skips the fast-path attempts this outage would burn.
   Redial(breaker_.tripped() ? Target::kLegacy : Target::kFast, /*count_as_outage=*/true);
 }
 
-void CatnipTcpQueue::Redial(Target target, bool count_as_outage) {
+void CatnipSessionQueue::Redial(Target target, bool count_as_outage) {
   ++attempt_epoch_;
   transport_.Abort();
   outage_start_ = now();
@@ -718,7 +760,7 @@ void CatnipTcpQueue::Redial(Target target, bool count_as_outage) {
   BeginAttempt();
 }
 
-void CatnipTcpQueue::Park() {
+void CatnipSessionQueue::Park() {
   ++attempt_epoch_;
   transport_.Abort();
   phase_ = Phase::kParked;
@@ -731,7 +773,7 @@ void CatnipTcpQueue::Park() {
   });
 }
 
-void CatnipTcpQueue::GiveUp(Status cause) {
+void CatnipSessionQueue::GiveUp(Status cause) {
   ++attempt_epoch_;
   transport_.Abort();
   ReleaseFastResources();  // a dead session must not hold bypass capacity
@@ -766,8 +808,13 @@ void CatnipTcpQueue::GiveUp(Status cause) {
 
 // --- recovery: session data path ---
 
-bool CatnipTcpQueue::ProgressRecovery(CompletionSink& sink) {
-  (void)sink;  // recovery completions go through libos_ (timers have no sink)
+bool CatnipSessionQueue::Progress(CompletionSink& /*sink*/) {
+  if (closed_) {
+    return false;
+  }
+  if (listener_ != nullptr || kernel_listen_fd_ >= 0) {
+    return ProgressListener();
+  }
   if (session_id_ == 0) {
     return false;  // socket created but neither connected nor adopted
   }
@@ -852,7 +899,7 @@ bool CatnipTcpQueue::ProgressRecovery(CompletionSink& sink) {
 
 // --- adaptive path placement (DESIGN.md §15) ---
 
-bool CatnipTcpQueue::EvaluatePathPolicy() {
+bool CatnipSessionQueue::EvaluatePathPolicy() {
   PathPolicy& policy = libos_->path_policy();
   if (!is_client_ || phase_ != Phase::kActive) {
     return false;  // only the connecting side drives switches (servers follow)
@@ -886,7 +933,7 @@ bool CatnipTcpQueue::EvaluatePathPolicy() {
   return false;
 }
 
-bool CatnipTcpQueue::AcquireFastResources() {
+bool CatnipSessionQueue::AcquireFastResources() {
   if (holds_fast_resources_) {
     return true;
   }
@@ -907,7 +954,7 @@ bool CatnipTcpQueue::AcquireFastResources() {
   return true;
 }
 
-void CatnipTcpQueue::ReleaseFastResources() {
+void CatnipSessionQueue::ReleaseFastResources() {
   if (!holds_fast_resources_) {
     return;
   }
@@ -921,7 +968,7 @@ void CatnipTcpQueue::ReleaseFastResources() {
   registry->ReleaseRegistration(tenant);
 }
 
-bool CatnipTcpQueue::StageToLog() {
+bool CatnipSessionQueue::StageToLog() {
   bool progress = false;
   while (!staged_pushes_.empty() && !log_.full()) {
     auto& [token, sga] = staged_pushes_.front();
@@ -935,7 +982,7 @@ bool CatnipTcpQueue::StageToLog() {
   return progress;
 }
 
-bool CatnipTcpQueue::PumpWriter() {
+bool CatnipSessionQueue::PumpWriter() {
   if (!transport_.established()) {
     return false;
   }
@@ -997,7 +1044,7 @@ bool CatnipTcpQueue::PumpWriter() {
   return progress;
 }
 
-bool CatnipTcpQueue::PumpReader(bool force) {
+bool CatnipSessionQueue::PumpReader(bool force) {
   if (!force && pending_pops_.empty()) {
     return false;  // rely on transport flow control to bound buffering
   }
@@ -1026,7 +1073,7 @@ bool CatnipTcpQueue::PumpReader(bool force) {
   return progress;
 }
 
-void CatnipTcpQueue::ProcessFrame(const SgArray& body) {
+void CatnipSessionQueue::ProcessFrame(const SgArray& body) {
   if (auto hello = ParseHello(body); hello.has_value()) {
     if (hello->is_ack && phase_ == Phase::kHandshake) {
       log_.EvictThroughSeq(hello->last_rx_seq);
@@ -1045,7 +1092,7 @@ void CatnipTcpQueue::ProcessFrame(const SgArray& body) {
   ready_elements_.push_back(StripBytes(body, kRecoverySeqHeader));
 }
 
-bool CatnipTcpQueue::ServePops() {
+bool CatnipSessionQueue::ServePops() {
   bool progress = false;
   while (!pending_pops_.empty() && !ready_elements_.empty()) {
     QResult res;
@@ -1070,7 +1117,7 @@ bool CatnipTcpQueue::ServePops() {
   return progress;
 }
 
-void CatnipTcpQueue::SalvageDrain() {
+void CatnipSessionQueue::SalvageDrain() {
   // TCP keeps in-order — hence transport-acknowledged — data readable even after a
   // reset, and the peer's replay log only evicts acknowledged bytes. Draining here
   // therefore recovers exactly the elements the peer will not replay.
@@ -1090,7 +1137,7 @@ void CatnipTcpQueue::SalvageDrain() {
   }
 }
 
-void CatnipTcpQueue::QueueControlFrame(const HelloFrame& hello) {
+void CatnipSessionQueue::QueueControlFrame(const HelloFrame& hello) {
   // Re-home the encoded hello into a memory-manager buffer: control frames ride the
   // same tenant-checked DMA path as data, so heap storage would be dropped by the
   // device capability check.
@@ -1103,7 +1150,7 @@ void CatnipTcpQueue::QueueControlFrame(const HelloFrame& hello) {
   }
 }
 
-void CatnipTcpQueue::ArmKeepalive() {
+void CatnipSessionQueue::ArmKeepalive() {
   const TimeNs idle = libos_->recovery().keepalive_idle_ns;
   if (idle == 0 || keepalive_armed_) {
     return;
@@ -1121,7 +1168,7 @@ void CatnipTcpQueue::ArmKeepalive() {
   });
 }
 
-void CatnipTcpQueue::KeepaliveTick() {
+void CatnipSessionQueue::KeepaliveTick() {
   if (phase_ != Phase::kActive) {
     return;  // re-armed when the session next (re)activates
   }
@@ -1137,7 +1184,7 @@ void CatnipTcpQueue::KeepaliveTick() {
   ArmKeepalive();
 }
 
-void CatnipTcpQueue::ArmAttemptTimer() {
+void CatnipSessionQueue::ArmAttemptTimer() {
   ScheduleGuarded(libos_->recovery().retry.attempt_timeout_ns, [this] {
     if (phase_ == Phase::kConnecting || phase_ == Phase::kHandshake) {
       OnAttemptFailed();
@@ -1145,7 +1192,7 @@ void CatnipTcpQueue::ArmAttemptTimer() {
   });
 }
 
-void CatnipTcpQueue::ScheduleGuarded(TimeNs delay, std::function<void()> fn) {
+void CatnipSessionQueue::ScheduleGuarded(TimeNs delay, std::function<void()> fn) {
   std::weak_ptr<bool> alive = alive_;
   const std::uint64_t epoch = attempt_epoch_;
   libos_->sim().Schedule(delay, [this, alive, epoch, fn = std::move(fn)] {
@@ -1156,7 +1203,7 @@ void CatnipTcpQueue::ScheduleGuarded(TimeNs delay, std::function<void()> fn) {
   });
 }
 
-bool CatnipTcpQueue::TransportDied() const {
+bool CatnipSessionQueue::TransportDied() const {
   if (transport_.kind() == FailoverTransport::Kind::kFast &&
       libos_->stack().device_failed()) {
     return true;
@@ -1164,23 +1211,17 @@ bool CatnipTcpQueue::TransportDied() const {
   return transport_.dead();
 }
 
-TimeNs CatnipTcpQueue::now() const { return libos_->sim().now(); }
+TimeNs CatnipSessionQueue::now() const { return libos_->sim().now(); }
 
-TimeNs CatnipTcpQueue::OutageDeadline() const {
+TimeNs CatnipSessionQueue::OutageDeadline() const {
   return outage_start_ + libos_->recovery().retry.deadline_ns;
 }
 
-Status CatnipTcpQueue::Close() {
+Status CatnipSessionQueue::Close() {
   if (closed_) {
     return OkStatus();
   }
   closed_ = true;
-  if (!recovery_) {
-    if (conn_ != nullptr) {
-      conn_->Close();
-    }
-    return OkStatus();
-  }
   ++attempt_epoch_;
   if (kernel_listen_fd_ >= 0 && libos_->kernel() != nullptr) {
     (void)libos_->kernel()->CloseFd(kernel_listen_fd_);
@@ -1191,20 +1232,6 @@ Status CatnipTcpQueue::Close() {
   }
   embryos_.clear();
   accept_ready_.clear();
-  while (!pending_pops_.empty()) {
-    QResult res;
-    res.op = OpType::kPop;
-    res.status = Cancelled("queue closed");
-    libos_->CompleteOp(pending_pops_.front(), std::move(res));
-    pending_pops_.pop_front();
-  }
-  while (!staged_pushes_.empty()) {
-    QResult res;
-    res.op = OpType::kPush;
-    res.status = Cancelled("queue closed");
-    libos_->CompleteOp(staged_pushes_.front().first, std::move(res));
-    staged_pushes_.pop_front();
-  }
   if (session_id_ != 0 && libos_->FindSession(session_id_) == this) {
     libos_->UnregisterSession(session_id_);
   }

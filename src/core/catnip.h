@@ -14,14 +14,19 @@
 // offload showcase: on a SmartNIC-capable device, a filter() over a UDP queue is
 // installed as an on-NIC program and filtered packets never cost host CPU (§4.3).
 //
-// Recovery mode (opt-in via CatnipConfig::recovery): TCP queues become *sessions*
-// that survive the death of the transport underneath them. Pushed elements carry a
-// sequence number and are retained in a bounded replay log until transport-level
-// acknowledgment; when the bypass NIC dies or a flapped link kills the connection,
-// the connecting side re-dials — fast path first with backoff, then the legacy
-// kernel stack once a circuit breaker trips — replays the unacknowledged suffix,
-// and resumes pending qtokens. Listeners accept on both paths and route a reattach
-// HELLO to the live session. See src/core/recovery.h and DESIGN.md "Recovery model".
+// TCP sockets take one of two data paths, each its own queue class, chosen once per
+// socket by CatnipLibOS::NewSocketQueue:
+//   - CatnipTcpQueue (plain): framed elements over one user-level TCP connection.
+//   - CatnipSessionQueue (recovery mode, opt-in via CatnipConfig::recovery): a
+//     *session* that survives the death of the transport underneath it. Pushed
+//     elements carry a sequence number and are retained in a bounded replay log until
+//     transport-level acknowledgment; when the bypass NIC dies or a flapped link kills
+//     the connection, the connecting side re-dials — fast path first with backoff,
+//     then the legacy kernel stack once a circuit breaker trips — replays the
+//     unacknowledged suffix, and resumes pending qtokens. Session listeners accept on
+//     both paths, route a reattach HELLO to the live session, and hand a peer whose
+//     first frame is not a HELLO off to a CatnipTcpQueue. See src/core/recovery.h and
+//     DESIGN.md "Recovery model".
 
 #ifndef SRC_CORE_CATNIP_H_
 #define SRC_CORE_CATNIP_H_
@@ -44,7 +49,7 @@
 
 namespace demi {
 
-class CatnipTcpQueue;
+class CatnipSessionQueue;
 
 struct CatnipConfig {
   Ipv4Address ip;
@@ -62,7 +67,7 @@ struct CatnipConfig {
   // servers need ingest to outpace app-side consumption, or queueing stays in
   // the NIC ring where completion-queue load signals cannot see it.
   std::size_t rx_batch = 32;
-  RecoveryConfig recovery;  // disabled by default; the plain path is untouched
+  RecoveryConfig recovery;  // disabled by default: TCP sockets take the plain path
   // Load-adaptive path placement (DESIGN.md §15); requires recovery mode (the
   // switch rides FailoverTransport's live migration). Disabled by default: path
   // changes then happen only on failure, exactly as PR 2 shipped.
@@ -97,9 +102,11 @@ class CatnipLibOS final : public LibOS {
 
   // --- session registry (recovery listeners route reattach HELLOs here) ---
   std::uint64_t NewSessionId() { return session_rng_.NextU64() | 1; }  // never 0
-  void RegisterSession(std::uint64_t sid, CatnipTcpQueue* queue) { sessions_[sid] = queue; }
+  void RegisterSession(std::uint64_t sid, CatnipSessionQueue* queue) {
+    sessions_[sid] = queue;
+  }
   void UnregisterSession(std::uint64_t sid) { sessions_.erase(sid); }
-  CatnipTcpQueue* FindSession(std::uint64_t sid) {
+  CatnipSessionQueue* FindSession(std::uint64_t sid) {
     auto it = sessions_.find(sid);
     return it == sessions_.end() ? nullptr : it->second;
   }
@@ -120,16 +127,20 @@ class CatnipLibOS final : public LibOS {
   PathPolicy path_policy_{PathPolicyConfig{}};
   std::unique_ptr<NetStack> stack_;
   Rng session_rng_;
-  std::unordered_map<std::uint64_t, CatnipTcpQueue*> sessions_;
+  std::unordered_map<std::uint64_t, CatnipSessionQueue*> sessions_;
   bool device_failure_marked_ = false;
 };
 
-// TCP socket queue: framed atomic units over the user-level byte stream. In recovery
-// mode the queue is a session whose byte stream can migrate between the bypass path
-// and the legacy-kernel path (see file header).
+// TCP socket queue on the plain data path: framed atomic units over the user-level
+// byte stream.
 class CatnipTcpQueue final : public IoQueue {
  public:
+  // `conn` is null for a fresh socket, or an accepted connection.
   CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn);
+  // Plain-peer handoff from a session listener: the embryo's decoder state and the
+  // element it already decoded, which the first pop receives.
+  CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn, FrameDecoder decoder,
+                 SgArray first);
   ~CatnipTcpQueue() override;
 
   Status StartPush(QToken token, const SgArray& sga) override;
@@ -143,34 +154,63 @@ class CatnipTcpQueue final : public IoQueue {
   Status ConnectStatus() override;
   Status Cancel(QToken token) override;
   Status Close() override;
-  // Sparse polling: a plain queue is quiescent when it has no pending work and its
-  // connection has no undelivered readiness — the connection's on-ready hook
-  // (AttachReadyHook) re-marks the queue when bytes, death, or window edges arrive.
+  // Sparse polling: quiescent when the queue has no pending work and its connection
+  // has no undelivered readiness — the connection's on-ready hook (AttachReadyHook)
+  // re-marks the queue when bytes, death, or window edges arrive.
   bool Quiescent() const override;
 
-  TcpConnection* connection() { return conn_; }
-
-  // --- recovery-mode introspection (tests/stats) ---
-  bool recovery_enabled() const { return recovery_; }
-  std::uint64_t session_id() const { return session_id_; }
-  FailoverTransport::Kind transport_kind() const { return transport_.kind(); }
-  const HealthMonitor& health() const { return health_; }
-  const CircuitBreaker& breaker() const { return breaker_; }
-  std::size_t replay_log_size() const { return log_.size(); }
-  const FlowHeat& heat() const { return heat_; }
-  bool holds_fast_resources() const { return holds_fast_resources_; }
-
  private:
-  friend class CatnipLibOS;
-
   struct PendingPush {
     QToken token;
     std::deque<Buffer> parts;
   };
 
+  // Under sparse polling, wires conn_'s on-ready callback to MarkDirty and marks the
+  // queue once; no-op under dense polling or without a connection.
+  void AttachReadyHook();
+
+  CatnipLibOS* libos_;
+  TcpConnection* conn_ = nullptr;  // null until connect/accept
+  TcpListener* listener_ = nullptr;
+  std::uint16_t bound_port_ = 0;
+  bool closed_ = false;
+  bool ready_hook_attached_ = false;  // conn_'s on_ready points at this queue
+  FrameDecoder decoder_;
+  Status stream_error_;
+  std::deque<PendingPush> pending_pushes_;
+  std::deque<QToken> pending_pops_;
+  // The element a session listener decoded before handing this peer off.
+  std::optional<SgArray> preloaded_;
+};
+
+// TCP socket queue in recovery mode: a session whose byte stream can migrate between
+// the bypass path and the legacy-kernel path (see file header). Completions go
+// through libos_ rather than Progress's sink, because timers complete ops too. The
+// default Quiescent() (false) stands: session timers and handshakes need visits, so
+// recovery uses dense polling.
+class CatnipSessionQueue final : public IoQueue {
+ public:
+  explicit CatnipSessionQueue(CatnipLibOS* libos);
+  ~CatnipSessionQueue() override;
+
+  Status StartPush(QToken token, const SgArray& sga) override;
+  Status StartPop(QToken token) override;
+  bool Progress(CompletionSink& sink) override;
+
+  // A listening session queue accepts on the fast path and on a kernel-stack twin of
+  // the same port; each connection's first frame decides what it becomes.
+  Status Bind(std::uint16_t port) override;
+  Status Listen() override;
+  Result<std::unique_ptr<IoQueue>> TryAccept() override;
+  Status StartConnect(Endpoint remote) override;
+  Status ConnectStatus() override;
+  Status Cancel(QToken token) override;
+  Status Close() override;
+
+ private:
   // A just-accepted connection whose first frame decides its fate: a HELLO makes it
   // a recovery session (new, or a reattach to a live one); any other frame means a
-  // plain-mode peer and the embryo becomes an ordinary queue.
+  // plain-mode peer and the embryo becomes a CatnipTcpQueue.
   struct Embryo {
     FailoverTransport transport;
     FrameDecoder decoder;
@@ -186,16 +226,10 @@ class CatnipTcpQueue final : public IoQueue {
   };
   enum class Target : std::uint8_t { kFast, kLegacy };
 
-  // --- plain path (byte-identical to the pre-recovery code) ---
-  bool ProgressPlain(CompletionSink& sink);
-  // Under sparse polling, wires conn_'s on-ready callback to MarkDirty and marks the
-  // queue once; no-op under dense polling or without a connection.
-  void AttachReadyHook();
-
-  // --- recovery path ---
-  bool ProgressRecovery(CompletionSink& sink);
-  bool ProgressListener(CompletionSink& sink);
+  // --- listener ---
+  bool ProgressListener();
   bool PumpEmbryo(Embryo& embryo);
+  // --- connecting-side state machine ---
   void BeginAttempt();
   void OnAttemptEstablished();
   void OnAttemptFailed();
@@ -218,6 +252,7 @@ class CatnipTcpQueue final : public IoQueue {
   void AdoptTransport(FailoverTransport transport, FrameDecoder decoder,
                       std::uint64_t peer_last_rx);
   void GiveUp(Status cause);
+  // --- session data path ---
   void SalvageDrain();  // drain acknowledged bytes off a dead transport
   bool StageToLog();    // staged pushes -> replay log (completes their tokens)
   bool PumpWriter();    // control frames + next unwritten log entry -> transport
@@ -237,27 +272,21 @@ class CatnipTcpQueue final : public IoQueue {
   TimeNs OutageDeadline() const;
 
   CatnipLibOS* libos_;
-  TcpConnection* conn_ = nullptr;  // null until connect/accept (plain path)
   TcpListener* listener_ = nullptr;
   std::uint16_t bound_port_ = 0;
   bool closed_ = false;
-  bool ready_hook_attached_ = false;  // conn_'s on_ready points at this queue
   FrameDecoder decoder_;
   Status stream_error_;
-  std::deque<PendingPush> pending_pushes_;
   std::deque<QToken> pending_pops_;
-  // Elements decoded before this queue existed (embryo handoff of a plain peer).
-  std::deque<SgArray> preloaded_;
 
-  // --- recovery session state (untouched when recovery_ is false) ---
-  bool recovery_ = false;
+  // --- session state ---
   bool is_client_ = false;
   std::uint64_t session_id_ = 0;
   Endpoint primary_remote_{};
   Phase phase_ = Phase::kIdle;
   Target target_ = Target::kFast;
   FailoverTransport transport_;
-  ReplayLog log_{0};
+  ReplayLog log_;
   std::uint64_t next_seq_ = 1;      // sequence for the next staged element
   std::uint64_t last_rx_seq_ = 0;   // highest element sequence delivered
   std::uint64_t bytes_sent_ = 0;    // stream offset on the current transport
@@ -269,7 +298,7 @@ class CatnipTcpQueue final : public IoQueue {
   int attempt_ = 0;
   bool in_outage_ = false;  // reconnecting after an established session died
   TimeNs outage_start_ = 0;
-  CircuitBreaker breaker_{1};
+  CircuitBreaker breaker_;
   HealthMonitor health_;
   bool failed_over_ = false;   // currently running on the legacy path
   bool clean_eof_ = false;     // peer FIN consumed: stream end, not an outage
@@ -280,16 +309,16 @@ class CatnipTcpQueue final : public IoQueue {
   bool holds_fast_resources_ = false;  // tenant flow slot + registration held
   TimeNs last_rx_activity_ = 0;   // when bytes last arrived on the transport
   bool keepalive_armed_ = false;  // at most one keepalive timer in flight
-  Rng rng_{0};
+  Rng rng_;
   // Guards timer callbacks against queue destruction (weak) and stale attempts
   // (epoch: bumped whenever the state machine moves past what a timer armed).
   std::shared_ptr<bool> alive_;
   std::uint64_t attempt_epoch_ = 0;
 
-  // --- recovery listener state ---
+  // --- listener state ---
   int kernel_listen_fd_ = -1;
   std::deque<Embryo> embryos_;
-  std::deque<std::unique_ptr<CatnipTcpQueue>> accept_ready_;
+  std::deque<std::unique_ptr<IoQueue>> accept_ready_;
 };
 
 // UDP datagram queue: one datagram = one element; filter-offload capable.

@@ -209,9 +209,9 @@ Status LibOS::Close(QDesc qd) {
   qtable_.erase(it);
   // Cancel splices touching this queue.
   std::erase_if(splices_, [qd](const Splice& s) { return s.in == qd || s.out == qd; });
-  // Whatever the queue's own Close() left pending can never complete now that the
-  // queue is gone: fail it, so no qtoken on the descriptor is stranded. Index loop:
-  // a completion observer may start new ops and grow the table.
+  // Ops still pending on the descriptor can never complete now that the queue is
+  // gone. This is the one place they are cancelled, so no qtoken is stranded. Index
+  // loop: a completion observer may start new ops and grow the table.
   for (std::size_t i = 0; pending_count_ > 0 && i < ops_.capacity(); ++i) {
     const QToken token = TokenAt(i);
     const OpSlot* slot = FindSlot(token);

@@ -62,7 +62,8 @@ class IoQueue {
   // drops the completion when it eventually arrives.
   virtual Status Cancel(QToken token) { return Unsupported("cancel"); }
 
-  // Graceful close; pending operations complete with kCancelled.
+  // Graceful close. The queue is destroyed right after; LibOS::Close then completes
+  // every operation still pending on it with kCancelled, so Close need not.
   virtual Status Close() = 0;
 
   // --- offload hooks (§4.3) ---

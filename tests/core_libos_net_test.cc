@@ -1,10 +1,12 @@
 // End-to-end tests of the network library OSes: Catnip (DPDK-style, zero copy),
 // Catnap (kernel sockets, copies+syscalls), Catmint (RDMA), and their cost signatures.
-// Also cross-libOS interop: Catnap and Catnip speak the same wire format.
+// Also cross-libOS interop: Catnap and Catnip speak the same wire format, and a
+// recovery-session listener serves plain Catnip peers.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/core/harness.h"
 
@@ -243,6 +245,68 @@ TEST(CatnipTest, UdpDatagramIsOneElement) {
   auto r = server.Wait(*pop_tok, 10 * kSecond);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->sga.ToString(), "datagram payload");
+}
+
+// --- Catnip recovery sessions ---
+
+HostOptions SessionHostOptions() {
+  HostOptions opts;
+  opts.with_kernel_nic = true;  // the legacy path survives the bypass NIC
+  return opts;
+}
+
+TEST(CatnipSessionTest, CloseCancelsPendingOpsOnBothEnds) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1", SessionHostOptions());
+  auto& ch = h.AddHost("client", "10.0.0.2", SessionHostOptions());
+  auto& server = h.Catnip(sh, RecoveryConfig{});
+  RecoveryConfig client_cfg;
+  client_cfg.fallback_remote = Endpoint{sh.kernel_ip, kPort};
+  client_cfg.has_fallback_remote = true;
+  auto& client = h.Catnip(ch, client_cfg);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  EXPECT_EQ(EchoOnce(server, sqd, client, cqd, "session echo"), "session echo");
+  ExpectCloseCancelsPendingOps(client, cqd);
+  ExpectCloseCancelsPendingOps(server, sqd);
+}
+
+// A session listener hands a peer whose first frame is not a HELLO off as a plain
+// queue, with the frames it already buffered (DESIGN.md §8).
+TEST(CatnipSessionTest, ListenerHandsPlainPeerOffAsPlainQueue) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1", SessionHostOptions());
+  auto& ch = h.AddHost("client", "10.0.0.2", SessionHostOptions());
+  auto& server = h.Catnip(sh, RecoveryConfig{});
+  auto& client = h.Catnip(ch);
+
+  const QDesc listen_qd = *server.Socket();
+  ASSERT_TRUE(server.Bind(listen_qd, kPort).ok());
+  ASSERT_TRUE(server.Listen(listen_qd).ok());
+  const QToken accept_token = *server.AcceptAsync(listen_qd);
+  const QDesc cqd = *client.Socket();
+  const QToken connect_token = *client.ConnectAsync(cqd, Endpoint{sh.ip, kPort});
+  auto connected = client.Wait(connect_token, kSecond);
+  ASSERT_TRUE(connected.ok() && connected->status.ok());
+
+  // The accept waits for the peer's first frame, which decides the data path.
+  const std::vector<std::string> messages = {"first", "second"};
+  for (const std::string& msg : messages) {
+    ASSERT_TRUE(client.Push(cqd, Sga(msg)).ok());
+  }
+  auto accepted = server.Wait(accept_token, kSecond);
+  ASSERT_TRUE(accepted.ok() && accepted->status.ok());
+  const QDesc sqd = accepted->new_qd;
+
+  for (const std::string& msg : messages) {
+    auto req = server.Wait(*server.Pop(sqd), kSecond);
+    ASSERT_TRUE(req.ok() && req->status.ok());
+    EXPECT_EQ(req->sga.ToString(), msg);
+    ASSERT_TRUE(server.BlockingPush(sqd, req->sga, kSecond)->status.ok());
+    auto reply = client.BlockingPop(cqd, kSecond);
+    ASSERT_TRUE(reply.ok() && reply->status.ok());
+    EXPECT_EQ(reply->sga.ToString(), msg);  // no session header: a plain queue echoed
+  }
+  ExpectCloseCancelsPendingOps(server, sqd);
 }
 
 // --- Catnap ---

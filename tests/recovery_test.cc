@@ -256,10 +256,11 @@ TEST(TransientFaultTest, RegExhaustionRestoresPullSideState) {
 // --- Catnip failover: end to end ------------------------------------------------
 
 // Two hosts with dedicated kernel NICs; recovery-enabled Catnip on both sides. The
-// client's legacy fallback targets the server's kernel-stack listener.
+// client's legacy fallback targets the server's kernel-stack listener. With
+// `recovery` false, both sides run plain Catnip on the same hosts instead.
 struct RecoveryEchoRig {
   RecoveryEchoRig(std::uint64_t fabric_seed, const RecoveryConfig& base,
-                  TcpConfig tcp = TcpConfig{}) {
+                  TcpConfig tcp = TcpConfig{}, bool recovery = true) {
     FabricConfig fabric;
     fabric.seed = fabric_seed;
     h = std::make_unique<TestHarness>(CostModel{}, fabric);
@@ -270,6 +271,11 @@ struct RecoveryEchoRig {
     HostOptions copts = sopts;
     copts.charges_clock = false;
     client_host = &h->AddHost("client", "10.0.0.2", copts);
+    if (!recovery) {
+      server_libos = &h->Catnip(*server_host);
+      client_libos = &h->Catnip(*client_host);
+      return;
+    }
     server_libos = &h->Catnip(*server_host, base);
     RecoveryConfig client_cfg = base;
     client_cfg.fallback_remote = Endpoint{server_host->kernel_ip, kEchoPort};
@@ -506,17 +512,23 @@ TEST(FailoverTest, RepromotesToFastPathAfterTheLinkHeals) {
   EXPECT_EQ(rig.client_libos->pending_ops(), 0u);
 }
 
+// A 150-request echo, run twice per input: recovery sessions across a client NIC
+// death, and plain Catnip with no fault. Two runs of one build must agree; the golden
+// values also pin the timeline across builds, so a refactor that moves one simulated
+// nanosecond or one RNG draw fails here, not only in the benchmark.
 TEST(FailoverTest, FailoverRunsAreBitDeterministic) {
   using Snapshot = std::tuple<TimeNs, std::uint64_t, std::uint64_t, std::uint64_t,
-                              std::uint64_t, std::uint64_t>;
-  auto run = [] {
+                              std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
+  auto run = [](bool recovery) {
     constexpr std::uint64_t kTarget = 150;
-    RecoveryEchoRig rig(31, RecoveryConfig{});
+    RecoveryEchoRig rig(31, RecoveryConfig{}, TcpConfig{}, recovery);
     DemiEchoServer server(rig.server_libos, kEchoPort);
     DemiEchoClient client(rig.client_libos, Endpoint{rig.server_host->ip, kEchoPort}, 64,
                           kTarget);
-    rig.h->faults().ScheduleDeviceFailure(rig.client_host->nic->fault_device(),
-                                          400 * kMicrosecond);
+    if (recovery) {
+      rig.h->faults().ScheduleDeviceFailure(rig.client_host->nic->fault_device(),
+                                            400 * kMicrosecond);
+    }
     EXPECT_TRUE(rig.h->RunUntil([&] { return client.done() || client.failed(); },
                                 60 * kSecond));
     EXPECT_TRUE(client.done());
@@ -526,9 +538,16 @@ TEST(FailoverTest, FailoverRunsAreBitDeterministic) {
                     c.Get(Counter::kFailovers),
                     c.Get(Counter::kRetriesAttempted),
                     c.Get(Counter::kBreakerTrips),
-                    c.Get(Counter::kRetryGiveups)};
+                    c.Get(Counter::kRetryGiveups),
+                    client.latency().P50(),
+                    client.latency().P99()};
   };
-  EXPECT_EQ(run(), run());
+  const Snapshot failover = run(/*recovery=*/true);
+  EXPECT_EQ(failover, run(/*recovery=*/true));
+  EXPECT_EQ(failover, (Snapshot{10207064, 150, 1, 9, 0, 0, 20223, 20735}));
+  const Snapshot plain = run(/*recovery=*/false);
+  EXPECT_EQ(plain, run(/*recovery=*/false));
+  EXPECT_EQ(plain, (Snapshot{1132676, 150, 0, 0, 0, 0, 6463, 6463}));
 }
 
 // --- Catfish: transient device-error retry --------------------------------------
