@@ -451,11 +451,19 @@ bool PosixEchoClient::Poll() {
       }
       return false;
     case State::kSend: {
-      sent_at_ = kernel_->host().now();
-      auto written = kernel_->WriteSock(fd_, Buffer::CopyOf(std::string(msg_bytes_, 'p')));
+      if (sent_ == 0) {
+        sent_at_ = kernel_->host().now();
+      }
+      auto written =
+          kernel_->WriteSock(fd_, Buffer::CopyOf(std::string(msg_bytes_ - sent_, 'p')));
       if (!written.ok()) {
         return false;  // retry next poll
       }
+      sent_ += *written;
+      if (sent_ < msg_bytes_) {
+        return true;  // partial write: the tail goes out next poll
+      }
+      sent_ = 0;
       received_ = 0;
       state_ = State::kReceive;
       return true;

@@ -177,6 +177,7 @@ class PosixEchoClient final : public Poller {
   int fd_ = -1;
   State state_ = State::kConnecting;
   TimeNs sent_at_ = 0;
+  std::size_t sent_ = 0;  // bytes of the current request written so far
   std::size_t received_ = 0;
   std::uint64_t completed_ = 0;
   Histogram latency_;

@@ -69,6 +69,18 @@ Buffer ConcatCopy(std::span<const Buffer> parts) {
   return out;
 }
 
+void DropFront(std::vector<Buffer>& parts, std::size_t n) {
+  std::size_t whole = 0;
+  while (whole < parts.size() && parts[whole].size() <= n) {
+    n -= parts[whole].size();
+    ++whole;
+  }
+  parts.erase(parts.begin(), parts.begin() + static_cast<std::ptrdiff_t>(whole));
+  if (n > 0) {
+    parts.front() = parts.front().Slice(n);
+  }
+}
+
 Buffer FrameChain::Gather() const {
   if (part_count() == 1) {
     return front();

@@ -108,6 +108,11 @@ class Buffer {
 // zero-copy fast path, e.g. by the POSIX baseline and by tests).
 Buffer ConcatCopy(std::span<const Buffer> parts);
 
+// Drops the first `n` bytes of a list of wire parts after a partial write: parts
+// written whole are erased, and the part cut short keeps its unwritten tail as a
+// zero-copy slice.
+void DropFront(std::vector<Buffer>& parts, std::size_t n);
+
 // A scatter-gather chain of Buffers forming one wire frame: protocol headers up front,
 // application payload Buffers behind them, each part a refcounted view. The chain is
 // how a frame travels from the stack to the simulated NIC without flattening: while the

@@ -54,12 +54,9 @@ Status CatnapSocketQueue::StartPush(QToken token, const SgArray& sga) {
   if (closed_) {
     return BadDescriptor("push on closed queue");
   }
-  PendingPush push;
-  push.token = token;
   // writev-style: one syscall for the whole framed element (header + segments). The
   // serialization into one iovec-equivalent buffer is application-side assembly.
-  push.parts.push_back(ConcatCopy(EncodeFrame(sga)));
-  pending_pushes_.push_back(std::move(push));
+  pending_pushes_.push_back(PendingPush{token, ConcatCopy(EncodeFrame(sga))});
   return OkStatus();
 }
 
@@ -78,39 +75,29 @@ bool CatnapSocketQueue::Progress(CompletionSink& sink) {
   bool progress = false;
 
   // Drain pushes through write(2): every byte crosses the kernel boundary with a copy.
+  // A partial write keeps the unwritten tail for the next poll.
   while (!pending_pushes_.empty()) {
     PendingPush& push = pending_pushes_.front();
-    bool stalled = false;
-    while (!push.parts.empty()) {
-      auto written = kernel_->WriteSock(fd_, push.parts.front());
-      if (written.ok()) {
-        push.parts.pop_front();
-        progress = true;
-        continue;
-      }
-      if (written.code() == ErrorCode::kResourceExhausted ||
-          written.code() == ErrorCode::kWouldBlock) {
-        stalled = true;  // socket buffer full; retry next poll
-        break;
-      }
-      // Hard error: fail this push.
-      QResult res;
-      res.op = OpType::kPush;
-      res.status = written.status();
-      sink.CompleteOp(push.token, std::move(res));
-      pending_pushes_.pop_front();
+    auto written = kernel_->WriteSock(fd_, push.unwritten);
+    if (written.ok()) {
+      push.unwritten = push.unwritten.Slice(*written);
       progress = true;
-      stalled = true;
-      break;
+      if (!push.unwritten.empty()) {
+        break;  // socket buffer full; retry next poll
+      }
+    } else if (written.code() == ErrorCode::kResourceExhausted) {
+      break;  // no room at all
     }
-    if (stalled) {
-      break;
-    }
+    // The whole element is written, or a hard error fails the push.
     QResult res;
     res.op = OpType::kPush;
+    res.status = written.status();
     sink.CompleteOp(push.token, std::move(res));
     pending_pushes_.pop_front();
     progress = true;
+    if (!written.ok()) {
+      break;
+    }
   }
 
   // Drain the kernel socket through read(2) and reassemble atomic units. Reads are

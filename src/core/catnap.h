@@ -58,7 +58,7 @@ class CatnapSocketQueue final : public IoQueue {
  private:
   struct PendingPush {
     QToken token;
-    std::deque<Buffer> parts;  // unwritten wire parts
+    Buffer unwritten;  // the framed element's bytes not yet written
   };
 
   SimKernel* kernel_;

@@ -184,15 +184,10 @@ Status CatnipTcpQueue::StartPush(QToken token, const SgArray& sga) {
   if (conn_ == nullptr) {
     return NotConnected("push before connect");
   }
-  PendingPush push;
-  push.token = token;
   // Zero copy: the wire parts reference the application's sga segments. The TCP
   // stack holds those references until acknowledged — free-protection does the rest
   // (§4.5).
-  for (Buffer& part : EncodeFrame(sga, &libos_->memory())) {
-    push.parts.push_back(std::move(part));
-  }
-  pending_pushes_.push_back(std::move(push));
+  pending_pushes_.push_back(PendingPush{token, EncodeFrame(sga, &libos_->memory())});
   return OkStatus();
 }
 
@@ -246,37 +241,28 @@ bool CatnipTcpQueue::Progress(CompletionSink& sink) {
     }
   }
 
+  // One gathered write per element: its length header and segments share TCP
+  // segments.
   while (!pending_pushes_.empty() && conn_->established()) {
     PendingPush& push = pending_pushes_.front();
-    bool stalled = false;
-    while (!push.parts.empty()) {
-      const Status status = conn_->Send(push.parts.front());
-      if (status.ok()) {
-        push.parts.pop_front();
-        progress = true;
-        continue;
+    auto written = conn_->Write(push.parts);
+    if (written.ok()) {
+      DropFront(push.parts, *written);
+      progress |= *written > 0;
+      if (!push.parts.empty()) {
+        break;  // send buffer full: the tail waits for ACKs
       }
-      if (status.code() == ErrorCode::kResourceExhausted) {
-        stalled = true;
-        break;
-      }
-      QResult res;
-      res.op = OpType::kPush;
-      res.status = status;
-      sink.CompleteOp(push.token, std::move(res));
-      pending_pushes_.pop_front();
-      progress = true;
-      stalled = true;
-      break;
     }
-    if (stalled) {
-      break;
-    }
+    // The whole element is queued, or a hard error fails the push.
     QResult res;
     res.op = OpType::kPush;
+    res.status = written.status();
     sink.CompleteOp(push.token, std::move(res));
     pending_pushes_.pop_front();
     progress = true;
+    if (!written.ok()) {
+      break;
+    }
   }
 
   if (!pending_pops_.empty() && preloaded_.has_value()) {
@@ -987,15 +973,11 @@ bool CatnipSessionQueue::PumpWriter() {
     return false;
   }
   bool progress = false;
-  while (!control_parts_.empty()) {
-    const std::size_t n = control_parts_.front().size();
-    const Status status = transport_.Send(control_parts_.front());
-    if (!status.ok()) {
-      return progress;  // stalled or dying; the phase machine notices death
-    }
-    bytes_sent_ += n;
-    control_parts_.pop_front();
-    progress = true;
+  // Control frames, then each log entry's frame, go out as one write apiece. A write
+  // that fails or takes only part of its frame means the transport is stalled or
+  // dying (the phase machine notices death); the tail waits for the next poll.
+  if (!control_parts_.empty() && !WriteFrameParts(control_parts_, &progress)) {
+    return progress;
   }
   while (true) {
     if (wire_parts_.empty()) {
@@ -1013,23 +995,9 @@ bool CatnipSessionQueue::PumpWriter() {
       for (const Buffer& seg : next->element.segments()) {
         wire.Append(seg);
       }
-      for (Buffer& part : EncodeFrame(wire, &libos_->memory())) {
-        wire_parts_.push_back(std::move(part));
-      }
+      wire_parts_ = EncodeFrame(wire, &libos_->memory());
     }
-    bool stalled = false;
-    while (!wire_parts_.empty()) {
-      const std::size_t n = wire_parts_.front().size();
-      const Status status = transport_.Send(wire_parts_.front());
-      if (!status.ok()) {
-        stalled = true;
-        break;
-      }
-      bytes_sent_ += n;
-      wire_parts_.pop_front();
-      progress = true;
-    }
-    if (stalled) {
+    if (!WriteFrameParts(wire_parts_, &progress)) {
       break;
     }
     // The entry whose parts just drained is fully on the wire at offset bytes_sent_.
@@ -1042,6 +1010,17 @@ bool CatnipSessionQueue::PumpWriter() {
     }
   }
   return progress;
+}
+
+bool CatnipSessionQueue::WriteFrameParts(std::vector<Buffer>& parts, bool* progress) {
+  auto written = transport_.Write(parts);
+  if (!written.ok()) {
+    return false;
+  }
+  bytes_sent_ += *written;
+  *progress |= *written > 0;
+  DropFront(parts, *written);
+  return parts.empty();
 }
 
 bool CatnipSessionQueue::PumpReader(bool force) {

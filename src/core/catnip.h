@@ -162,7 +162,7 @@ class CatnipTcpQueue final : public IoQueue {
  private:
   struct PendingPush {
     QToken token;
-    std::deque<Buffer> parts;
+    std::vector<Buffer> parts;  // unwritten wire parts
   };
 
   // Under sparse polling, wires conn_'s on-ready callback to MarkDirty and marks the
@@ -256,6 +256,9 @@ class CatnipSessionQueue final : public IoQueue {
   void SalvageDrain();  // drain acknowledged bytes off a dead transport
   bool StageToLog();    // staged pushes -> replay log (completes their tokens)
   bool PumpWriter();    // control frames + next unwritten log entry -> transport
+  // One transport write of a frame's parts; advances bytes_sent_ and keeps the
+  // unwritten tail in `parts`. True once the frame is fully written.
+  bool WriteFrameParts(std::vector<Buffer>& parts, bool* progress);
   bool PumpReader(bool force);
   void ProcessFrame(const SgArray& body);
   bool ServePops();
@@ -291,8 +294,8 @@ class CatnipSessionQueue final : public IoQueue {
   std::uint64_t last_rx_seq_ = 0;   // highest element sequence delivered
   std::uint64_t bytes_sent_ = 0;    // stream offset on the current transport
   std::uint64_t wire_seq_ = 0;      // log entry the wire parts belong to
-  std::deque<Buffer> control_parts_;
-  std::deque<Buffer> wire_parts_;
+  std::vector<Buffer> control_parts_;  // unwritten control-frame bytes
+  std::vector<Buffer> wire_parts_;     // unwritten bytes of log entry wire_seq_
   std::deque<std::pair<QToken, SgArray>> staged_pushes_;
   std::deque<SgArray> ready_elements_;
   int attempt_ = 0;

@@ -310,16 +310,14 @@ bool FailoverTransport::recv_eof() const {
   return c != nullptr && c->recv_eof();
 }
 
-Status FailoverTransport::Send(Buffer part) {
+Result<std::size_t> FailoverTransport::Write(std::span<const Buffer> parts) {
   switch (kind_) {
     case Kind::kNone:
       return NotConnected("no transport attached");
     case Kind::kFast:
-      return conn_->Send(std::move(part));
-    case Kind::kLegacy: {
-      auto written = kernel_->WriteSock(fd_, std::move(part));
-      return written.status();  // WriteSock is all-or-nothing
-    }
+      return conn_->Write(parts);
+    case Kind::kLegacy:
+      return kernel_->WriteSock(fd_, ConcatCopy(parts));  // partial, like write(2)
   }
   return Internal("bad transport kind");
 }

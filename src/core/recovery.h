@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 
 #include "src/common/buffer.h"
 #include "src/common/random.h"
@@ -197,7 +198,7 @@ SgArray StripBytes(const SgArray& body, std::size_t n);
 // One byte-stream endpoint that is either a fast-path user-level TCP connection
 // (Catnip's NetStack) or a legacy kernel socket fd. The recovery state machine swaps
 // the backing transport across failover/re-promotion; the queue above it only sees
-// Send/Recv/established/dead.
+// Write/Recv/established/dead.
 class FailoverTransport {
  public:
   enum class Kind : std::uint8_t { kNone, kFast, kLegacy };
@@ -232,15 +233,19 @@ class FailoverTransport {
   // Peer sent FIN and all its data was consumed (clean close, not an outage).
   bool recv_eof() const;
 
-  // kResourceExhausted means "stalled, retry after draining"; other errors are fatal
-  // to this transport.
-  Status Send(Buffer part);
+  // Writes the parts of one frame and returns the bytes taken. The fast path queues
+  // them with one gathered TcpConnection::Write; the legacy path copies the joined
+  // frame into the kernel with one WriteSock crossing, as Catnap does. Fewer bytes
+  // than offered (0, or kResourceExhausted from the legacy path) mean the send
+  // buffer is full and the caller keeps the tail; other errors are fatal to this
+  // transport.
+  Result<std::size_t> Write(std::span<const Buffer> parts);
   // Returns up to `max` received bytes (empty when none). Also used to salvage
   // buffered bytes off a dead transport before switching — TCP keeps in-order
   // (i.e. acknowledged) data readable after a reset, so nothing the peer's log
   // already evicted can be lost.
   Buffer Recv(std::size_t max);
-  // Bytes handed to Send but not yet acknowledged by the peer.
+  // Bytes handed to Write but not yet acknowledged by the peer.
   std::size_t unacked_bytes() const;
 
  private:

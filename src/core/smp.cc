@@ -20,9 +20,10 @@ constexpr std::size_t kStealBatch = 8;
 // of draining whole in one.
 constexpr std::size_t kConsumeBatch = 16;
 // RX frames the worker's stack ingests per poll. Must comfortably exceed
-// kConsumeBatch in wire frames (a request is typically 2 frames: header part +
-// payload part) or ingest and consumption lock in balance and an overloaded
-// shard's queue hides in the NIC ring where thieves cannot see it.
+// kConsumeBatch in wire frames, or ingest and consumption lock in balance and an
+// overloaded shard's queue hides in the NIC ring where thieves cannot see it.
+// Catnip clients send a small request as one frame, but SmpHarness clients write
+// the framing header and payload separately, so theirs arrive as 2.
 constexpr std::size_t kRxBatch = 128;
 
 std::uint64_t HintBit(int worker) { return std::uint64_t{1} << worker; }

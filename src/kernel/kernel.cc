@@ -222,11 +222,17 @@ Result<std::size_t> SimKernel::WriteSock(int fd, Buffer data) {
   if (e->conn->reset()) {
     return ConnectionReset("peer reset");
   }
-  // user buffer -> kernel sk_buff copy, then the kernel stack transmits.
-  host_->CopyBytes(data.size());
-  Buffer in_kernel = Buffer::CopyOf(data.span());
-  const std::size_t n = in_kernel.size();
-  RETURN_IF_ERROR(e->conn->Send(std::move(in_kernel)));
+  // write(2): copy what the send buffer has room for into a kernel sk_buff, then the
+  // kernel stack transmits it; the caller keeps the unwritten tail.
+  const std::size_t n = std::min(data.size(), e->conn->send_buffer_space());
+  if (n > 0) {
+    host_->CopyBytes(n);
+  }
+  // Even an empty Send reports a closed or shut-down connection.
+  RETURN_IF_ERROR(e->conn->Send(Buffer::CopyOf(data.span().first(n))));
+  if (n == 0 && !data.empty()) {
+    return ResourceExhausted("send buffer full");
+  }
   return n;
 }
 

@@ -93,7 +93,9 @@ class SimKernel final : public Poller {
   // Copies up to `max` received bytes into a fresh user buffer (this copy is the 50%
   // Redis overhead of §3.2). kWouldBlock / kEndOfFile / kConnectionReset as applicable.
   Result<Buffer> ReadSock(int fd, std::size_t max);
-  // Copies `data` into kernel memory and queues it on the connection.
+  // write(2): copies as much of `data` as the send buffer holds into kernel memory,
+  // queues it on the connection, and returns the bytes copied; the caller keeps the
+  // tail. kResourceExhausted when the buffer has no room at all.
   Result<std::size_t> WriteSock(int fd, Buffer data);
   Status CloseFd(int fd);
   TcpConnection* SockConnection(int fd);  // test/stat access

@@ -163,7 +163,7 @@ std::size_t TcpConnection::unacked_bytes() const {
   return send_queue_bytes_ + (snd_nxt_ - snd_una_);
 }
 
-Status TcpConnection::Send(Buffer data) {
+Status TcpConnection::WritableStatus() const {
   if (reset_) {
     return ConnectionReset("connection reset");
   }
@@ -174,26 +174,35 @@ Status TcpConnection::Send(Buffer data) {
   if (fin_queued_ || fin_sent_) {
     return NotConnected("send after shutdown");
   }
-  if (data.empty()) {
-    return OkStatus();
-  }
-  if (data.size() > send_buffer_space()) {
-    return ResourceExhausted("send buffer full");
-  }
-  send_queue_bytes_ += data.size();
-  send_queue_.push_back(std::move(data));
-  TrySend();
   return OkStatus();
 }
 
-Status TcpConnection::Send(const SgArray& sga) {
-  if (sga.total_bytes() > send_buffer_space()) {
+Result<std::size_t> TcpConnection::Write(std::span<const Buffer> parts) {
+  RETURN_IF_ERROR(WritableStatus());
+  std::size_t queued = 0;
+  for (const Buffer& part : parts) {
+    const std::size_t take = std::min(part.size(), send_buffer_space());
+    if (take > 0) {
+      send_queue_.push_back(take == part.size() ? part : part.Slice(0, take));
+      send_queue_bytes_ += take;
+      queued += take;
+    }
+    if (take < part.size()) {
+      break;  // send buffer full: the caller keeps the tail
+    }
+  }
+  if (queued > 0) {
+    TrySend();
+  }
+  return queued;
+}
+
+Status TcpConnection::Send(Buffer data) {
+  RETURN_IF_ERROR(WritableStatus());
+  if (data.size() > send_buffer_space()) {
     return ResourceExhausted("send buffer full");
   }
-  for (const Buffer& seg : sga) {
-    RETURN_IF_ERROR(Send(seg));
-  }
-  return OkStatus();
+  return Write(std::span<const Buffer>(&data, 1)).status();
 }
 
 void TcpConnection::TrySend() {
@@ -213,9 +222,9 @@ void TcpConnection::TrySend() {
       break;
     }
     // Gather up to one MSS across queued buffers into a single segment (NICs do this
-    // with scatter-gather descriptors, so it costs the host nothing): avoids sending
-    // small application writes — e.g. framing headers — as tinygram segments. Each
-    // queued buffer contributes a zero-copy slice to the chain.
+    // with scatter-gather descriptors, so it costs the host nothing): a gathered
+    // Write's framing header and element segments leave together, never as
+    // tinygrams. Each queued buffer contributes a zero-copy slice to the chain.
     FrameChain payload;
     std::size_t gathered = 0;
     while (gathered < take) {

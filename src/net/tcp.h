@@ -27,11 +27,11 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/buffer.h"
 #include "src/common/result.h"
-#include "src/memory/sgarray.h"
 #include "src/net/packet.h"
 #include "src/sim/simulation.h"
 
@@ -126,11 +126,15 @@ class TcpConnection {
 
   // --- application send side (zero-copy: data buffers are referenced, not copied) ---
 
-  // Queues `data` for transmission. Returns kResourceExhausted when the send buffer is
-  // full (the caller retries after draining) and kConnectionReset/kNotConnected on dead
-  // connections.
+  // Gathered write: queues the parts of one element, in order, then runs the sender
+  // once, so the parts share MSS-sized segments instead of leaving one segment each.
+  // Takes as much as the send buffer holds (a part that does not fit contributes the
+  // zero-copy slice that does) and returns the bytes queued: fewer than offered, and
+  // 0 when the buffer is full. kConnectionReset/kNotConnected on dead connections.
+  Result<std::size_t> Write(std::span<const Buffer> parts);
+  // All-or-nothing write of one buffer through Write: kResourceExhausted when it does
+  // not fit whole (the caller retries after draining).
   Status Send(Buffer data);
-  Status Send(const SgArray& sga);
   std::size_t send_buffer_space() const;
   // Bytes queued or in flight, not yet acknowledged.
   std::size_t unacked_bytes() const;
@@ -176,6 +180,8 @@ class TcpConnection {
 
  private:
   bool recv_eof_ready() const { return fin_received_ && recv_ready_bytes_ == 0; }
+  // Why the application may not queue data now; ok when it may.
+  Status WritableStatus() const;
 
   struct InflightSegment {
     std::uint32_t seq;

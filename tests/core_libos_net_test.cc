@@ -17,6 +17,20 @@ constexpr std::uint16_t kPort = 9000;
 
 SgArray Sga(const std::string& s) { return SgArray::FromString(s); }
 
+// `n` bytes that differ from their neighbours, so a reordered or dropped slice of an
+// echoed element cannot compare equal.
+std::string Pattern(std::size_t n) {
+  std::string out(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<char>('a' + (i * 7 + i / 251) % 26);
+  }
+  return out;
+}
+
+// Larger than the 256 KB TCP send buffer: the push must go out in pieces as ACKs
+// free room, not wait for the whole element to fit at once.
+constexpr std::size_t kOverSendBuffer = 300 * 1024;
+
 // Establishes a connection between two libOSes; returns {server_conn_qd, client_qd}.
 std::pair<QDesc, QDesc> ConnectPair(TestHarness& h, LibOS& server, LibOS& client,
                                     Ipv4Address server_ip) {
@@ -169,6 +183,41 @@ TEST(CatnipTest, ElementBoundariesSurviveSegmentation) {
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->sga.total_bytes(), 10000u);
   EXPECT_EQ(got->sga.ToString(), big);
+}
+
+TEST(CatnipTest, ElementLargerThanSendBufferEchoes) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  const std::string big = Pattern(kOverSendBuffer);
+  EXPECT_EQ(EchoOnce(server, sqd, client, cqd, big), big);
+}
+
+// One push is one gathered write: the length header and the element's segments share
+// a TCP segment instead of leaving as one tinygram per part.
+TEST(CatnipTest, SmallMultiSegmentElementLeavesAsOneDataFrame) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+
+  SgArray element(Buffer::CopyOf("three "));
+  element.Append(Buffer::CopyOf("segment "));
+  element.Append(Buffer::CopyOf("element"));
+  const auto tx_frames = [&] { return ch.nic->queue_stats(client.nic_queue()).tx_frames; };
+  const std::uint64_t frames_before = tx_frames();
+  auto pop_tok = server.Pop(sqd);
+  ASSERT_TRUE(pop_tok.ok());
+  ASSERT_TRUE(client.BlockingPush(cqd, element).ok());
+  auto got = server.Wait(*pop_tok, 10 * kSecond);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->sga.ToString(), "three segment element");
+  EXPECT_EQ(tx_frames() - frames_before, 1u);
 }
 
 TEST(CatnipTest, BackToBackElementsKeepBoundaries) {
@@ -334,6 +383,17 @@ TEST(CatnapTest, DataPathPaysSyscallsAndCopies) {
   // The portability libOS keeps the app unchanged but pays the traditional tax.
   EXPECT_GT(h.sim().counters().Get(Counter::kBytesCopied), copies_before + 8000);
   EXPECT_GT(h.sim().counters().Get(Counter::kSyscalls), syscalls_before);
+}
+
+TEST(CatnapTest, ElementLargerThanSendBufferEchoes) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  auto& client = h.Catnap(ch);
+  auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
+  const std::string big = Pattern(kOverSendBuffer);
+  EXPECT_EQ(EchoOnce(server, sqd, client, cqd, big), big);
 }
 
 TEST(CatnapTest, CloseCancelsPendingOps) {

@@ -105,6 +105,44 @@ TEST(KernelSocketTest, ReadAndWriteCopyBytes) {
   EXPECT_GE(rig.sim.counters().Get(Counter::kBytesCopied) - copied_before, 8192u);
 }
 
+// write(2) semantics: a buffer larger than the free send buffer is written in part,
+// the call returns the bytes it copied, and the caller writes the tail later.
+TEST(KernelSocketTest, WriteLargerThanSendBufferIsPartial) {
+  KernelRig rig;
+  auto [sfd, cfd] = rig.Connect(7780);
+  std::string data(300 * 1024, '\0');
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<char>('a' + i % 23);
+  }
+  const std::size_t space = rig.kernel_b.SockConnection(cfd)->send_buffer_space();
+  ASSERT_LT(space, data.size());
+  const std::uint64_t copied_before = rig.cpu_b.counters().Get(Counter::kBytesCopied);
+  auto first = rig.kernel_b.WriteSock(cfd, Buffer::CopyOf(data));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(*first, space);
+  EXPECT_EQ(rig.cpu_b.counters().Get(Counter::kBytesCopied) - copied_before, space);
+
+  std::size_t written = *first;
+  std::string got;
+  ASSERT_TRUE(rig.sim.RunUntil(
+      [&] {
+        if (written < data.size()) {
+          auto w = rig.kernel_b.WriteSock(
+              cfd, Buffer::CopyOf(std::string_view(data).substr(written)));
+          if (w.ok()) {
+            written += *w;
+          }
+        }
+        for (auto r = rig.kernel_a.ReadSock(sfd, 65536); r.ok();
+             r = rig.kernel_a.ReadSock(sfd, 65536)) {
+          got += r->AsStringView();
+        }
+        return got.size() == data.size();
+      },
+      10 * kSecond));
+  EXPECT_EQ(got, data);
+}
+
 TEST(KernelSocketTest, ReceiveInterruptsFire) {
   KernelRig rig;
   auto [sfd, cfd] = rig.Connect(7779);

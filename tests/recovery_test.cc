@@ -516,6 +516,60 @@ TEST(FailoverTest, RepromotesToFastPathAfterTheLinkHeals) {
 // death, and plain Catnip with no fault. Two runs of one build must agree; the golden
 // values also pin the timeline across builds, so a refactor that moves one simulated
 // nanosecond or one RNG draw fails here, not only in the benchmark.
+// --- Session writes: one element, one gathered write ---------------------------
+
+// Connects a recovery session through the rig's listener; returns {server, client}.
+std::pair<QDesc, QDesc> ConnectSession(RecoveryEchoRig& rig) {
+  LibOS& sv = *rig.server_libos;
+  LibOS& cl = *rig.client_libos;
+  const QDesc listen_qd = *sv.Socket();
+  EXPECT_TRUE(sv.Bind(listen_qd, kEchoPort).ok());
+  EXPECT_TRUE(sv.Listen(listen_qd).ok());
+  const QToken accept_token = *sv.AcceptAsync(listen_qd);
+  const QDesc cqd = *cl.Socket();
+  auto connected =
+      cl.Wait(*cl.ConnectAsync(cqd, Endpoint{rig.server_host->ip, kEchoPort}), kSecond);
+  EXPECT_TRUE(connected.ok() && connected->status.ok());
+  auto accepted = sv.Wait(accept_token, kSecond);
+  EXPECT_TRUE(accepted.ok() && accepted->status.ok());
+  return {accepted.ok() ? accepted->new_qd : -1, cqd};
+}
+
+// Pushes one 64 B element from the client and returns it as the server popped it.
+std::string PushOneElement(RecoveryEchoRig& rig, QDesc sqd, QDesc cqd) {
+  const QToken pop = *rig.server_libos->Pop(sqd);
+  EXPECT_TRUE(rig.client_libos->Push(cqd, SgArray::FromString(std::string(64, 'e'))).ok());
+  auto got = rig.server_libos->Wait(pop, kSecond);
+  EXPECT_TRUE(got.ok() && got->status.ok());
+  return got.ok() ? got->sga.ToString() : std::string();
+}
+
+// The length header, sequence header and payload of a session element share one
+// data segment on the fast path.
+TEST(SessionWriteTest, ElementIsOneDataSegmentOnTheFastPath) {
+  RecoveryEchoRig rig(26, RecoveryConfig{});
+  auto [sqd, cqd] = ConnectSession(rig);
+  const auto tx_frames = [&] {
+    return rig.client_host->nic->queue_stats(rig.client_libos->nic_queue()).tx_frames;
+  };
+  const std::uint64_t frames_before = tx_frames();
+  EXPECT_EQ(PushOneElement(rig, sqd, cqd), std::string(64, 'e'));
+  EXPECT_EQ(tx_frames() - frames_before, 1u);
+}
+
+// On the legacy path the whole framed element is one write(2) crossing.
+TEST(SessionWriteTest, ElementIsOneWriteCrossingOnTheLegacyPath) {
+  RecoveryEchoRig rig(27, RecoveryConfig{});
+  rig.h->faults().ScheduleDeviceFailure(rig.client_host->nic->fault_device(),
+                                        rig.h->sim().now());
+  auto [sqd, cqd] = ConnectSession(rig);
+  ASSERT_EQ(rig.h->sim().counters().Get(Counter::kFailovers), 1u);  // on the kernel path
+  Counters& client = rig.client_host->cpu->counters();
+  const std::uint64_t syscalls_before = client.Get(Counter::kSyscalls);
+  EXPECT_EQ(PushOneElement(rig, sqd, cqd), std::string(64, 'e'));
+  EXPECT_EQ(client.Get(Counter::kSyscalls) - syscalls_before, 1u);
+}
+
 TEST(FailoverTest, FailoverRunsAreBitDeterministic) {
   using Snapshot = std::tuple<TimeNs, std::uint64_t, std::uint64_t, std::uint64_t,
                               std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
@@ -544,10 +598,10 @@ TEST(FailoverTest, FailoverRunsAreBitDeterministic) {
   };
   const Snapshot failover = run(/*recovery=*/true);
   EXPECT_EQ(failover, run(/*recovery=*/true));
-  EXPECT_EQ(failover, (Snapshot{10207064, 150, 1, 9, 0, 0, 20223, 20735}));
+  EXPECT_EQ(failover, (Snapshot{8930632, 150, 1, 9, 0, 0, 10495, 10879}));
   const Snapshot plain = run(/*recovery=*/false);
   EXPECT_EQ(plain, run(/*recovery=*/false));
-  EXPECT_EQ(plain, (Snapshot{1132676, 150, 0, 0, 0, 0, 6463, 6463}));
+  EXPECT_EQ(plain, (Snapshot{932712, 150, 0, 0, 0, 0, 5119, 5119}));
 }
 
 // --- Catfish: transient device-error retry --------------------------------------
