@@ -109,8 +109,8 @@ AdaptiveHarnessConfig ScenarioConfig(bool adaptive, bool smoke) {
   AdaptiveHarnessConfig cfg;
   cfg.hot_flows = 2;
   cfg.cold_flows = 4;
-  cfg.hot_period_ns = 20 * kMicrosecond;  // ~50k req/s: safely above promote band
-  cfg.cold_period_ns = 2 * kMillisecond;  // ~500 req/s: safely below demote band
+  cfg.hot_period_ns = 20 * kMicrosecond;  // 100k ops/s: far above the promote threshold
+  cfg.cold_period_ns = 2 * kMillisecond;  // 1k ops/s: below the demote threshold
   cfg.churn_waves = smoke ? 6 : 16;
   cfg.churn_wave_size = 6;
   cfg.churn_period_ns = 3 * kMillisecond;
@@ -301,7 +301,8 @@ int Run() {
 
   // Verdict: phase split intact; fastcall strictly cheaper per control op; a batch
   // drain is one crossing; the policy returns capacity without costing the hot flows
-  // their bypass latency (25% headroom absorbs scheduling noise between the arms).
+  // their bypass latency at p50 or p99 (25% headroom absorbs scheduling noise
+  // between the arms).
   const bool phase_split_ok =
       setup_syscalls > 0 && data_syscalls == 0 && steady.done();
   const bool fastcall_cheaper =
@@ -321,8 +322,8 @@ int Run() {
       on_arm.live_flow_slots == 2 && on_arm.flow_slots_released >= 4 &&
       on_arm.demotions >= 4;
   const bool hot_latency_kept =
-      on_arm.hot_p50_ns <=
-      off_arm.hot_p50_ns + off_arm.hot_p50_ns / 4;
+      on_arm.hot_p50_ns <= off_arm.hot_p50_ns + off_arm.hot_p50_ns / 4 &&
+      on_arm.hot_p99_ns <= off_arm.hot_p99_ns + off_arm.hot_p99_ns / 4;
 
   const bool ok = phase_split_ok && fastcall_cheaper && batch_is_one_crossing &&
                   adaptive_releases_capacity && hot_latency_kept;

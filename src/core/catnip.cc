@@ -9,13 +9,28 @@
 
 namespace demi {
 
+namespace {
+
+// Adaptive path placement (DESIGN.md §15). A client session counts its pushes and
+// pops; at the first poll at least kPolicyWindowNs after the count started, it
+// judges the window's rate and starts a new window. A fast-path flow below
+// kDemoteOpsPerSec moves to the kernel path and returns its flow slot; a kernel-path
+// flow at or above kPromoteOpsPerSec moves back if it can claim a slot. The window
+// also restarts whenever the flow lands on a path, so a flow is judged only after a
+// full window there and moves at most once per window.
+constexpr TimeNs kPolicyWindowNs = 2 * kMillisecond;
+constexpr std::uint64_t kDemoteOpsPerSec = 5000;
+// Below the ~28k ops/s a closed-loop flow can reach on the kernel path.
+constexpr std::uint64_t kPromoteOpsPerSec = 10000;
+
+}  // namespace
+
 CatnipLibOS::CatnipLibOS(HostCpu* host, SimNic* nic, SimKernel* control_kernel,
                          CatnipConfig config)
     : LibOS(host),
       nic_(nic),
       kernel_(control_kernel),
       config_(std::move(config)),
-      path_policy_(config_.adaptive),
       session_rng_(config_.recovery.seed ^ 0x5e5510d15ull) {
   // Kernel-less hosts take the configured queue directly (shard index for RSS-sharded
   // workers); a control kernel's lease below overrides it.
@@ -340,9 +355,7 @@ CatnipSessionQueue::CatnipSessionQueue(CatnipLibOS* libos)
       log_(libos->recovery().replay_log_limit),
       breaker_(libos->recovery().breaker_threshold),
       rng_(libos->recovery().seed ^ libos->NewSessionId()),
-      alive_(std::make_shared<bool>(true)) {
-  heat_.set_halflife(libos->path_policy().config().heat_halflife_ns);
-}
+      alive_(std::make_shared<bool>(true)) {}
 
 CatnipSessionQueue::~CatnipSessionQueue() {
   ReleaseFastResources();
@@ -438,9 +451,7 @@ Status CatnipSessionQueue::StartPush(QToken token, const SgArray& sga) {
   }
   // The push completes once the element enters the replay log (the session has taken
   // responsibility for delivery); a full log exerts backpressure by parking the token.
-  if (libos_->path_policy().enabled()) {
-    heat_.Record(now());
-  }
+  ++window_ops_;
   staged_pushes_.emplace_back(token, sga);
   return OkStatus();
 }
@@ -460,9 +471,7 @@ Status CatnipSessionQueue::StartPop(QToken token) {
     libos_->CompleteOp(token, std::move(res));
     return OkStatus();
   }
-  if (libos_->path_policy().enabled()) {
-    heat_.Record(now());
-  }
+  ++window_ops_;
   pending_pops_.push_back(token);
   if (phase_ == Phase::kFailed) {
     (void)ServePops();
@@ -685,6 +694,8 @@ void CatnipSessionQueue::OnHandshakeComplete() {
   in_outage_ = false;
   last_rx_activity_ = now();
   path_since_ = now();
+  window_start_ = now();
+  window_ops_ = 0;
   const bool voluntary = policy_switch_;
   policy_switch_ = false;
   ArmKeepalive();
@@ -710,7 +721,7 @@ void CatnipSessionQueue::OnHandshakeComplete() {
     // claimed them before dialing; failure-driven dials (initial connect, outage
     // recovery, auto-re-promotion) claim them here — and a flow that cannot get a
     // slot is demoted by policy instead of squatting on the device.
-    if (libos_->path_policy().enabled() && is_client_ && !holds_fast_resources_ &&
+    if (libos_->adaptive().enabled && is_client_ && !holds_fast_resources_ &&
         !AcquireFastResources()) {
       policy_switch_ = true;
       SalvageDrain();
@@ -850,10 +861,10 @@ bool CatnipSessionQueue::Progress(CompletionSink& /*sink*/) {
       log_.EvictAcked(bytes_sent_ - transport_.unacked_bytes());
       progress |= PumpReader(/*force=*/false);
       progress |= ServePops();
-      if (libos_->path_policy().enabled()) {
-        // Load-adaptive placement: heat + hysteresis decide the path continuously;
-        // the unconditional health-based re-promotion below stays out of the way.
-        progress |= EvaluatePathPolicy();
+      if (libos_->adaptive().enabled) {
+        // Load-adaptive placement: the op-count window decides the path; the
+        // unconditional health-based re-promotion below stays out of the way.
+        progress |= CheckPolicyWindow();
         break;
       }
       // Fast-path re-promotion: once a flapped device has been continuously healthy
@@ -885,15 +896,19 @@ bool CatnipSessionQueue::Progress(CompletionSink& /*sink*/) {
 
 // --- adaptive path placement (DESIGN.md §15) ---
 
-bool CatnipSessionQueue::EvaluatePathPolicy() {
-  PathPolicy& policy = libos_->path_policy();
-  if (!is_client_ || phase_ != Phase::kActive) {
-    return false;  // only the connecting side drives switches (servers follow)
+bool CatnipSessionQueue::CheckPolicyWindow() {
+  // Only the connecting side drives switches (servers follow).
+  if (!is_client_ || phase_ != Phase::kActive ||
+      now() - window_start_ < kPolicyWindowNs) {
+    return false;
   }
+  // ops / elapsed against ops_per_sec / 1 s, cross-multiplied to stay in integers.
+  const std::uint64_t scaled_ops = window_ops_ * static_cast<std::uint64_t>(kSecond);
+  const auto elapsed = static_cast<std::uint64_t>(now() - window_start_);
+  window_start_ = now();
+  window_ops_ = 0;
   const bool on_fast = transport_.kind() == FailoverTransport::Kind::kFast;
-  const PathPolicy::Decision decision =
-      policy.Evaluate(heat_, on_fast, now(), path_since_);
-  if (decision == PathPolicy::Decision::kDemote && on_fast &&
+  if (on_fast && scaled_ops < kDemoteOpsPerSec * elapsed &&
       libos_->kernel() != nullptr) {
     // Cold/idle flow: hand the byte stream to the kernel path and return the bypass
     // resources. Same live-migration machinery as failover — exactly-once replay.
@@ -903,14 +918,11 @@ bool CatnipSessionQueue::EvaluatePathPolicy() {
     Redial(Target::kLegacy, /*count_as_outage=*/false);
     return true;
   }
-  if (decision == PathPolicy::Decision::kPromote && !on_fast &&
+  if (!on_fast && scaled_ops >= kPromoteOpsPerSec * elapsed &&
       !libos_->stack().device_failed() &&
-      health_.health() == DeviceHealth::kHealthy) {
-    // Budget first (churn guard), then capacity: a flow that cannot claim a slot
-    // stays on the kernel path — no dial, nothing to unwind.
-    if (!policy.TryTakePromotion(now()) || !AcquireFastResources()) {
-      return false;
-    }
+      health_.health() == DeviceHealth::kHealthy && AcquireFastResources()) {
+    // Capacity first: a flow that cannot claim a slot stays on the kernel path and
+    // asks again next window — no dial, nothing to unwind.
     SalvageDrain();
     policy_switch_ = true;
     Redial(Target::kFast, /*count_as_outage=*/false);

@@ -40,7 +40,6 @@
 #include <utility>
 
 #include "src/core/libos.h"
-#include "src/core/path_policy.h"
 #include "src/core/recovery.h"
 #include "src/hw/nic.h"
 #include "src/kernel/kernel.h"
@@ -50,6 +49,13 @@
 namespace demi {
 
 class CatnipSessionQueue;
+
+// Load-adaptive path placement (DESIGN.md §15): off, path changes happen only on
+// failure; on, client sessions move between the bypass and kernel paths by their
+// op rate (the rule and its constants are in catnip.cc).
+struct PathPolicyConfig {
+  bool enabled = false;
+};
 
 struct CatnipConfig {
   Ipv4Address ip;
@@ -68,9 +74,8 @@ struct CatnipConfig {
   // the NIC ring where completion-queue load signals cannot see it.
   std::size_t rx_batch = 32;
   RecoveryConfig recovery;  // disabled by default: TCP sockets take the plain path
-  // Load-adaptive path placement (DESIGN.md §15); requires recovery mode (the
-  // switch rides FailoverTransport's live migration). Disabled by default: path
-  // changes then happen only on failure, exactly as PR 2 shipped.
+  // Load-adaptive path placement; requires recovery mode (the switch rides
+  // FailoverTransport's live migration).
   PathPolicyConfig adaptive;
   // When set (and a control kernel exists), the libOS runs as this tenant on a
   // shared bypass device: the kernel mints a TenantId, leases a tenant-bound queue,
@@ -95,8 +100,7 @@ class CatnipLibOS final : public LibOS {
   SimKernel* kernel() { return kernel_; }
   TenantId tenant() const { return tenant_; }  // kNoTenant unless config.tenant set
   const RecoveryConfig& recovery() const { return config_.recovery; }
-  // Shared across every session of this libOS, so the promotion budget is global.
-  PathPolicy& path_policy() { return path_policy_; }
+  const PathPolicyConfig& adaptive() const { return config_.adaptive; }
 
   Result<QDesc> SocketUdp() override;
 
@@ -124,7 +128,6 @@ class CatnipLibOS final : public LibOS {
   CatnipConfig config_;
   int nic_queue_ = 0;
   TenantId tenant_ = kNoTenant;
-  PathPolicy path_policy_{PathPolicyConfig{}};
   std::unique_ptr<NetStack> stack_;
   Rng session_rng_;
   std::unordered_map<std::uint64_t, CatnipSessionQueue*> sessions_;
@@ -241,9 +244,9 @@ class CatnipSessionQueue final : public IoQueue {
   void Redial(Target target, bool count_as_outage);
   void Park();         // server: transport died; wait for the peer to reattach
   // --- adaptive path placement (client side; DESIGN.md §15) ---
-  // Runs the heat/policy check at the tail of an active poll; returns true when a
-  // voluntary switch started.
-  bool EvaluatePathPolicy();
+  // Judges the op-count window once it is kPolicyWindowNs old, at the tail of an
+  // active poll; returns true when a voluntary switch started.
+  bool CheckPolicyWindow();
   // Claims a bypass flow slot + memory registration from the tenant pool before a
   // flow may live on the fast path; false leaves nothing held.
   bool AcquireFastResources();
@@ -305,9 +308,10 @@ class CatnipSessionQueue final : public IoQueue {
   HealthMonitor health_;
   bool failed_over_ = false;   // currently running on the legacy path
   bool clean_eof_ = false;     // peer FIN consumed: stream end, not an outage
-  // --- adaptive path placement (untouched unless the libOS policy is enabled) ---
-  FlowHeat heat_;                      // decayed op-rate tracker for this flow
   TimeNs path_since_ = 0;              // when the flow landed on its current path
+  // --- adaptive path placement (read only when the libOS policy is enabled) ---
+  TimeNs window_start_ = 0;            // when the current op-count window began
+  std::uint64_t window_ops_ = 0;       // pushes + pops since window_start_
   bool policy_switch_ = false;         // the in-flight redial is a policy decision
   bool holds_fast_resources_ = false;  // tenant flow slot + registration held
   TimeNs last_rx_activity_ = 0;   // when bytes last arrived on the transport

@@ -46,10 +46,7 @@ AdaptiveEchoHarness::AdaptiveEchoHarness(AdaptiveHarnessConfig cfg) : cfg_(cfg) 
   ccfg.recovery.enabled = true;
   ccfg.recovery.fallback_remote = Endpoint{server_host_->kernel_ip, kFlowPort};
   ccfg.recovery.has_fallback_remote = true;
-  if (cfg_.adaptive) {
-    ccfg.adaptive = cfg_.policy;
-    ccfg.adaptive.enabled = true;
-  }
+  ccfg.adaptive.enabled = cfg_.adaptive;
   if (cfg_.max_flow_slots > 0) {
     TenantQosConfig tenant;
     tenant.name = "adaptive";

@@ -11,12 +11,13 @@
 //     and demotions release bypass flow slots — and a Catnap libOS dials the churn
 //     waves through the legacy kernel.
 //
-// Hot flows request every `hot_period_ns` (well above the promote threshold), cold
-// flows every `cold_period_ns` (below the demote threshold): with the policy on,
-// cold flows voluntarily migrate to the kernel path and return their flow slot +
-// registration to the tenant pool while hot flows keep bypass latency. Churn waves
-// land `churn_wave_size` connects in one backlog, so one fastcall-priced AcceptBatch
-// crossing drains the whole wave.
+// Each round is one push and one pop, so a flow paced at period T runs 2/T ops per
+// second. Hot flows request every `hot_period_ns` (default 100k ops/s, far above
+// the promote threshold), cold flows every `cold_period_ns` (1k ops/s, below the
+// demote threshold): with the policy on, cold flows voluntarily migrate to the
+// kernel path and return their flow slot + registration to the tenant pool while
+// hot flows keep bypass latency. Churn waves land `churn_wave_size` connects in one
+// backlog, so one fastcall-priced AcceptBatch crossing drains the whole wave.
 //
 // Everything is seeded and virtual-clocked: same config + seed → bit-identical
 // result (the `digest` field folds every completion, so tests can assert it).
@@ -31,7 +32,6 @@
 #include "src/apps/actors.h"
 #include "src/common/histogram.h"
 #include "src/core/harness.h"
-#include "src/core/path_policy.h"
 
 namespace demi {
 
@@ -48,12 +48,11 @@ struct AdaptiveHarnessConfig {
   std::size_t msg_bytes = 64;
   bool adaptive = false;  // turn the path policy on (client side)
   bool fastcall = false;  // enable the fastcall table on both hosts' kernels
-  PathPolicyConfig policy;  // thresholds used when adaptive (enabled is forced on)
   // > 0: the client Catnip runs as a metered tenant with this bypass flow-slot
   // quota, so demotions visibly return capacity (TenantStats::flow_slots_released).
   std::size_t max_flow_slots = 0;
   // > 0: at this instant every cold flow switches to the hot period — the load
-  // spike that drives promotions back through the budgeted fast path.
+  // spike that drives demoted flows back to the fast path.
   TimeNs cold_hot_flip_ns = 0;
   TimeNs run_ns = 50 * kMillisecond;
   std::uint64_t seed = 1;

@@ -1,169 +1,21 @@
 // Load-adaptive path switching + fastcall control path (DESIGN.md §15).
 //
-// Unit layer: FlowHeat's decayed-rate arithmetic, the PathPolicy hysteresis band
-// (no thrash at the band edge), the dwell guard, and the windowed promotion budget.
 // Kernel layer: fastcall pricing of control ops and the one-crossing AcceptBatch
-// backlog drain (bare kernel and Catnap). End to end: the churn-heavy adaptive echo
-// scenario — cold flows demote and visibly return tenant flow slots, a load spike
-// promotes within budget, same seed is bit-deterministic, and a NIC death racing a
-// promotion still resolves every qtoken.
+// backlog drain (bare kernel and Catnap). End to end, the churn-heavy adaptive echo
+// scenario: cold flows demote (never before a full window) and visibly return
+// tenant flow slots; a load spike promotes demoted flows back, limited only by the
+// slot quota; a flow between the two thresholds never moves; same seed is
+// bit-deterministic; and a NIC death racing a promotion still resolves every qtoken.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "src/core/harness.h"
-#include "src/core/path_policy.h"
 #include "src/load/adaptive_harness.h"
 
 namespace demi {
 namespace {
-
-// --- FlowHeat ---------------------------------------------------------------------
-
-TEST(FlowHeatTest, ConvergesToOpRate) {
-  FlowHeat heat;
-  heat.set_halflife(1 * kMillisecond);
-  // One op every 20us for 20 halflives: the decayed rate converges to 50k ops/s.
-  TimeNs now = 0;
-  for (int i = 0; i < 1000; ++i) {
-    now += 20 * kMicrosecond;
-    heat.Record(now);
-  }
-  const double rate = heat.OpsPerSec(now, 1 * kMillisecond);
-  EXPECT_GT(rate, 0.8 * 50000.0);
-  EXPECT_LT(rate, 1.2 * 50000.0);
-}
-
-TEST(FlowHeatTest, DecaysWhenOpsStop) {
-  FlowHeat heat;
-  heat.set_halflife(1 * kMillisecond);
-  TimeNs now = 0;
-  for (int i = 0; i < 200; ++i) {
-    now += 20 * kMicrosecond;
-    heat.Record(now);
-  }
-  const double busy = heat.OpsPerSec(now, 1 * kMillisecond);
-  // 10 halflives of silence: the rate collapses by ~2^10.
-  const double idle = heat.OpsPerSec(now + 10 * kMillisecond, 1 * kMillisecond);
-  EXPECT_LT(idle, busy / 500.0);
-  EXPECT_EQ(heat.last_op(), now);  // last_op is the raw timestamp, not decayed
-}
-
-TEST(FlowHeatTest, SameSequenceSameBits) {
-  FlowHeat a;
-  FlowHeat b;
-  a.set_halflife(1 * kMillisecond);
-  b.set_halflife(1 * kMillisecond);
-  TimeNs now = 0;
-  for (int i = 0; i < 100; ++i) {
-    now += 17 * kMicrosecond;
-    a.Record(now);
-    b.Record(now);
-  }
-  EXPECT_EQ(a.OpsPerSec(now, 1 * kMillisecond), b.OpsPerSec(now, 1 * kMillisecond));
-}
-
-// --- PathPolicy -------------------------------------------------------------------
-
-PathPolicyConfig TestPolicy() {
-  PathPolicyConfig cfg;
-  cfg.enabled = true;
-  cfg.promote_ops_per_sec = 50000.0;
-  cfg.demote_ops_per_sec = 5000.0;
-  cfg.heat_halflife_ns = 1 * kMillisecond;
-  cfg.min_dwell_ns = 2 * kMillisecond;
-  cfg.idle_demote_ns = 5 * kMillisecond;
-  return cfg;
-}
-
-// Drives `heat` to a steady rate of ~1e9/period_ns ops/s ending at *now.
-FlowHeat SteadyHeat(TimeNs period_ns, TimeNs* now) {
-  FlowHeat heat;
-  heat.set_halflife(1 * kMillisecond);
-  *now = 0;
-  for (int i = 0; i < 2000; ++i) {
-    *now += period_ns;
-    heat.Record(*now);
-  }
-  return heat;
-}
-
-TEST(PathPolicyTest, MidBandRateMovesNoFlowInEitherDirection) {
-  PathPolicy policy(TestPolicy());
-  TimeNs now = 0;
-  // ~20k ops/s: above the demote threshold, below the promote threshold.
-  const FlowHeat heat = SteadyHeat(50 * kMicrosecond, &now);
-  const TimeNs since = now - 10 * kMillisecond;  // dwell long satisfied
-  EXPECT_EQ(policy.Evaluate(heat, /*on_fast_path=*/true, now, since),
-            PathPolicy::Decision::kStay);
-  EXPECT_EQ(policy.Evaluate(heat, /*on_fast_path=*/false, now, since),
-            PathPolicy::Decision::kStay);
-}
-
-TEST(PathPolicyTest, HotPromotesColdDemotes) {
-  PathPolicy policy(TestPolicy());
-  TimeNs now = 0;
-  const FlowHeat hot = SteadyHeat(10 * kMicrosecond, &now);  // ~100k ops/s
-  EXPECT_EQ(policy.Evaluate(hot, false, now, now - 10 * kMillisecond),
-            PathPolicy::Decision::kPromote);
-  EXPECT_EQ(policy.Evaluate(hot, true, now, now - 10 * kMillisecond),
-            PathPolicy::Decision::kStay);
-
-  TimeNs cold_now = 0;
-  const FlowHeat cold = SteadyHeat(1 * kMillisecond, &cold_now);  // ~1k ops/s
-  EXPECT_EQ(policy.Evaluate(cold, true, cold_now, cold_now - 10 * kMillisecond),
-            PathPolicy::Decision::kDemote);
-  EXPECT_EQ(policy.Evaluate(cold, false, cold_now, cold_now - 10 * kMillisecond),
-            PathPolicy::Decision::kStay);
-}
-
-TEST(PathPolicyTest, DwellGuardBlocksEarlyMoves) {
-  PathPolicy policy(TestPolicy());
-  FlowHeat idle;  // zero heat: demote-eligible on rate alone
-  idle.set_halflife(1 * kMillisecond);
-  const TimeNs now = 100 * kMillisecond;
-  EXPECT_EQ(policy.Evaluate(idle, true, now, now - 1 * kMillisecond),
-            PathPolicy::Decision::kStay);  // dwell not served yet
-  EXPECT_EQ(policy.Evaluate(idle, true, now, now - 2 * kMillisecond),
-            PathPolicy::Decision::kDemote);
-}
-
-TEST(PathPolicyTest, IdleFlowDemotesEvenIfRecentlyHot) {
-  PathPolicy policy(TestPolicy());
-  TimeNs now = 0;
-  FlowHeat heat = SteadyHeat(10 * kMicrosecond, &now);
-  // 6ms of silence: rate decays AND the idle guard fires independently.
-  EXPECT_EQ(policy.Evaluate(heat, true, now + 6 * kMillisecond,
-                            now - 10 * kMillisecond),
-            PathPolicy::Decision::kDemote);
-}
-
-TEST(PathPolicyTest, PromotionBudgetIsPerWindowAndDeterministic) {
-  PathPolicyConfig cfg = TestPolicy();
-  cfg.promotion_budget = 2;
-  cfg.budget_window_ns = 10 * kMillisecond;
-  PathPolicy policy(cfg);
-  EXPECT_TRUE(policy.TryTakePromotion(1 * kMillisecond));
-  EXPECT_TRUE(policy.TryTakePromotion(2 * kMillisecond));
-  EXPECT_FALSE(policy.TryTakePromotion(3 * kMillisecond));  // budget burned
-  EXPECT_FALSE(policy.TryTakePromotion(9 * kMillisecond));
-  // Next fixed window epoch: the budget refills.
-  EXPECT_TRUE(policy.TryTakePromotion(10 * kMillisecond));
-  EXPECT_EQ(policy.promotions_granted(), 3u);
-  EXPECT_EQ(policy.promotions_denied(), 2u);
-}
-
-TEST(PathPolicyTest, DisabledPolicyNeverMoves) {
-  PathPolicyConfig cfg = TestPolicy();
-  cfg.enabled = false;
-  PathPolicy policy(cfg);
-  TimeNs now = 0;
-  const FlowHeat hot = SteadyHeat(10 * kMicrosecond, &now);
-  FlowHeat idle;
-  EXPECT_EQ(policy.Evaluate(hot, false, now, 0), PathPolicy::Decision::kStay);
-  EXPECT_EQ(policy.Evaluate(idle, true, now, 0), PathPolicy::Decision::kStay);
-}
 
 // --- fastcall crossing + AcceptBatch (bare kernel) ---------------------------------
 
@@ -280,7 +132,6 @@ AdaptiveHarnessConfig ScenarioConfig() {
   cfg.churn_period_ns = 4 * kMillisecond;
   cfg.adaptive = true;
   cfg.fastcall = true;
-  cfg.policy = PathPolicyConfig{};
   cfg.max_flow_slots = 6;  // roomy: all six flows fit at connect time
   cfg.run_ns = 50 * kMillisecond;
   cfg.seed = 41;
@@ -290,6 +141,12 @@ AdaptiveHarnessConfig ScenarioConfig() {
 TEST(AdaptiveScenarioTest, ColdFlowsDemoteAndReturnFlowSlots) {
   AdaptiveEchoHarness h(ScenarioConfig());
   const AdaptiveScenarioResult r = h.Run();
+  // A flow is judged only after a full 2 ms window on its path.
+  for (const TraceEvent& ev : h.harness().sim().metrics().trace().Events()) {
+    if (ev.kind == TraceKind::kPathDemotion) {
+      EXPECT_GE(ev.at, 2 * kMillisecond);
+    }
+  }
 
   EXPECT_GT(r.hot_completed, 0u);
   EXPECT_GT(r.cold_completed, 0u);
@@ -309,23 +166,45 @@ TEST(AdaptiveScenarioTest, ColdFlowsDemoteAndReturnFlowSlots) {
 }
 
 TEST(AdaptiveScenarioTest, LoadSpikePromotesWithinBudget) {
+  // Every cold flow turns hot mid-run at an 80 us period: 25k ops/s, which a
+  // demoted flow sustains on the kernel path (its ~70 us RTT caps it near 28k/s).
   AdaptiveHarnessConfig cfg = ScenarioConfig();
-  cfg.cold_hot_flip_ns = 25 * kMillisecond;  // every cold flow turns hot mid-run
-  // A demoted flow's rounds are paced by the ~70us kernel-path RTT, so its op rate
-  // tops out near 28k/s no matter how hot the offered load: the promote threshold
-  // must sit below what the slow path can physically exhibit (see DESIGN.md §15).
-  cfg.policy.promote_ops_per_sec = 20000.0;
-  cfg.policy.promotion_budget = 2;
-  cfg.policy.budget_window_ns = 1 * kSecond;  // one window covers the whole run
+  cfg.hot_period_ns = 80 * kMicrosecond;
+  cfg.cold_hot_flip_ns = 25 * kMillisecond;
+  {
+    AdaptiveEchoHarness h(cfg);
+    const AdaptiveScenarioResult r = h.Run();
+    EXPECT_EQ(r.demotions, 4u);
+    EXPECT_EQ(r.promotions, 4u);  // every flipped flow got its slot back
+    EXPECT_EQ(r.live_flow_slots, 6u);
+    EXPECT_EQ(h.client_libos().pending_ops(), 0u);
+  }
+  // The tenant's flow-slot quota is the only budget on promotions: with two slots
+  // left over after the hot flows, two of the four flipped flows get back up and
+  // the others keep asking, once per window.
+  cfg = ScenarioConfig();
+  cfg.cold_hot_flip_ns = 25 * kMillisecond;
+  cfg.max_flow_slots = 4;
   AdaptiveEchoHarness h(cfg);
   const AdaptiveScenarioResult r = h.Run();
-
-  EXPECT_GE(r.demotions, 4u);
-  // Four flows want back up but the budget admits exactly two.
   EXPECT_EQ(r.promotions, 2u);
-  EXPECT_EQ(h.client_libos().path_policy().promotions_granted(), 2u);
-  EXPECT_GT(h.client_libos().path_policy().promotions_denied(), 0u);
-  EXPECT_EQ(r.live_flow_slots, 4u);  // 2 hot + 2 promoted
+  EXPECT_EQ(r.live_flow_slots, 4u);
+  EXPECT_GT(r.flow_slots_denied, 0u);
+  EXPECT_EQ(h.client_libos().pending_ops(), 0u);
+}
+
+TEST(AdaptiveScenarioTest, FlowBetweenThresholdsNeverMoves) {
+  // Hot flows at a 330 us period run ~6k ops/s: above the 5k demote threshold,
+  // below the 10k promote threshold. The cold flows demote, then flip to the same
+  // rate on the kernel path and stay there.
+  AdaptiveHarnessConfig cfg = ScenarioConfig();
+  cfg.hot_period_ns = 330 * kMicrosecond;
+  cfg.cold_hot_flip_ns = 25 * kMillisecond;
+  AdaptiveEchoHarness h(cfg);
+  const AdaptiveScenarioResult r = h.Run();
+  EXPECT_EQ(r.demotions, 4u);  // the cold flows only
+  EXPECT_EQ(r.promotions, 0u);
+  EXPECT_EQ(r.live_flow_slots, 2u);
   EXPECT_EQ(h.client_libos().pending_ops(), 0u);
 }
 
@@ -352,11 +231,24 @@ TEST(AdaptiveScenarioTest, SameSeedIsBitDeterministic) {
 TEST(AdaptiveChaosTest, NicDeathRacingPromotionsResolvesEveryToken) {
   AdaptiveHarnessConfig cfg = ScenarioConfig();
   cfg.cold_hot_flip_ns = 10 * kMillisecond;
+  // A fault-free twin finds when the first promotion lands.
+  TimeNs first_promotion = 0;
+  {
+    AdaptiveEchoHarness twin(cfg);
+    EXPECT_GE(twin.Run().promotions, 1u);
+    for (const TraceEvent& ev : twin.harness().sim().metrics().trace().Events()) {
+      if (ev.kind == TraceKind::kPathPromotion) {
+        first_promotion = ev.at;
+        break;
+      }
+    }
+  }
+  ASSERT_GT(first_promotion, 1 * kMicrosecond);
   AdaptiveEchoHarness h(cfg);
-  // Kill the client's bypass NIC just as the first promotion redials: in-flight
-  // switches must resolve through the failover machinery, not hang.
+  // Kill the client's bypass NIC just as that promotion redials: in-flight switches
+  // must resolve through the failover machinery, not hang.
   h.harness().faults().ScheduleDeviceFailure(h.client_host().nic->fault_device(),
-                                             10 * kMillisecond + 50 * kMicrosecond);
+                                             first_promotion - 1 * kMicrosecond);
   const AdaptiveScenarioResult r = h.Run();
 
   EXPECT_GT(r.hot_completed, 0u);
