@@ -88,12 +88,36 @@ RunDigest RunOnce(std::uint64_t seed) {
   return d;
 }
 
+// FNV-1a over the recorded (intended, completed) pairs.
+std::uint64_t IntentsDigest(const std::vector<TimeNs>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const TimeNs t : v) {
+    h = (h ^ static_cast<std::uint64_t>(t)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Seed 42 is also pinned to golden constants: any change to the client fleet's
+// arrival draws, backlog, response drain or stressor clocks moves them.
 TEST(OpenLoopDeterminism, SameSeedSameRunBitForBit) {
   const RunDigest a = RunOnce(42);
   const RunDigest b = RunOnce(42);
   EXPECT_GT(a.issued, 0u);
   EXPECT_GT(a.completed, 0u);
   EXPECT_EQ(a, b);
+
+  EXPECT_EQ(a.issued, 474u);
+  EXPECT_EQ(a.completed, 442u);
+  EXPECT_EQ(a.served, 442u);
+  EXPECT_EQ(a.churned, 22u);
+  EXPECT_EQ(a.flips, 3u);
+  EXPECT_EQ(a.lat_count, 411u);
+  EXPECT_EQ(a.lat_p50, 7'231u);
+  EXPECT_EQ(a.lat_p99, 51'711u);
+  EXPECT_EQ(a.lat_max, 55'198u);
+  EXPECT_EQ(a.end_clock, 12'448'576);
+  EXPECT_EQ(a.first_intents.size(), 64u);
+  EXPECT_EQ(IntentsDigest(a.first_intents), 0x0696bfdfdf6f41a6ull);
 }
 
 TEST(OpenLoopDeterminism, DifferentSeedDiverges) {

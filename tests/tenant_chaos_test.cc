@@ -91,6 +91,17 @@ TEST(TenantChaosTest, IsolationBoundsVictimTailHostileCollapsesItWithoutIt) {
   // Isolation on: the device actually pushed back on the flood.
   EXPECT_GT(on.hostile.capability_violations, 0u);
   EXPECT_GT(on.victim.tx_frames, 0u);
+
+  // Golden values for the seed-42 hostile arms: a change to the client fleet,
+  // the victim server or the device's tenant arbitration moves them.
+  EXPECT_EQ(on.completed, 10'050u);
+  EXPECT_EQ(on.latency.p50, 5'823u);
+  EXPECT_EQ(on.latency.p99, 8'575u);
+  EXPECT_EQ(on.latency.max, 11'605u);
+  EXPECT_EQ(off.completed, 10'037u);
+  EXPECT_EQ(off.latency.p50, 516'095u);
+  EXPECT_EQ(off.latency.p99, 540'671u);
+  EXPECT_EQ(off.latency.max, 542'295u);
 }
 
 TEST(TenantChaosTest, VictimNeverTripsCapabilityChecksAndFramesConserve) {
