@@ -6,8 +6,7 @@
 
 namespace demi {
 
-ArrivalProcess::ArrivalProcess(ArrivalConfig cfg, std::size_t connections)
-    : cfg_(cfg), connections_(std::max<std::size_t>(connections, 1)) {
+ArrivalProcess::ArrivalProcess(ArrivalConfig cfg) : cfg_(cfg) {
   DEMI_CHECK(cfg_.mmpp_burst_factor >= 1.0);
   DEMI_CHECK(cfg_.mmpp_on_mean_ns > 0 && cfg_.mmpp_off_mean_ns > 0);
 }
@@ -31,15 +30,15 @@ double ArrivalProcess::current_rps() const {
   return on_phase_ ? quiet * cfg_.mmpp_burst_factor : quiet;
 }
 
-TimeNs ArrivalProcess::NextGapNs(Rng& rng) const {
-  const double rps = current_rps();
+TimeNs ArrivalProcess::NextGapNs(Rng& rng, double weight, double total_weight) const {
+  const double rps = current_rps() * weight;
   if (rps <= 0) {
     return kNever;
   }
-  const double mean_gap_ns = 1e9 * static_cast<double>(connections_) / rps;
+  const double mean_gap_ns = 1e9 * total_weight / rps;
   const double gap = rng.NextExponential(mean_gap_ns);
-  // Clamp into the representable range; a sub-ns draw still schedules "now-ish".
-  return static_cast<TimeNs>(std::min(gap, 9.0e18));
+  // Clamp into the representable range; a sub-ns draw schedules 1 ns out.
+  return std::max<TimeNs>(static_cast<TimeNs>(std::min(gap, 9.0e18)), 1);
 }
 
 TimeNs ArrivalProcess::NextDwellNs(Rng& rng) const {

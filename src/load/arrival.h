@@ -9,9 +9,9 @@
 //
 // Two processes:
 //   - Poisson: independent exponential inter-arrival gaps at a fixed aggregate rate,
-//     split evenly across connections. Memoryless, so redrawing every pending gap at
-//     a rate change (the per-sweep-point reschedule) is statistically identical to
-//     letting old draws run out — and deliberately storms the scheduler.
+//     split across connections by weight. Memoryless, so redrawing every pending gap
+//     at a rate change (the per-sweep-point reschedule) is statistically identical
+//     to letting old draws run out — and deliberately storms the scheduler.
 //   - MMPP (Markov-modulated Poisson): a two-phase on/off modulator. The process
 //     dwells exponentially in a quiet phase and a bursty phase whose rate is
 //     `burst_factor` times higher; phase rates are normalized so the long-run
@@ -40,7 +40,7 @@ struct ArrivalConfig {
 
 class ArrivalProcess {
  public:
-  ArrivalProcess(ArrivalConfig cfg, std::size_t connections);
+  explicit ArrivalProcess(ArrivalConfig cfg);
 
   // Sets the aggregate offered load and resets the modulator to the quiet phase.
   void SetRate(double offered_rps);
@@ -48,10 +48,12 @@ class ArrivalProcess {
   bool bursty() const { return cfg_.process == ArrivalConfig::Process::kMmpp; }
   bool on_phase() const { return on_phase_; }
 
-  // Exponential gap to one connection's next arrival at the current phase rate.
-  // Returns kNever when the offered load is zero (no arrivals).
+  // Exponential gap (>= 1 ns) to the next arrival on a connection that carries
+  // `weight` of the fleet's `total_weight`: mean 1e9 * total_weight / (rate *
+  // weight) at the current phase rate. Returns kNever when that connection's share
+  // of the offered load is zero (no arrivals).
   static constexpr TimeNs kNever = -1;
-  TimeNs NextGapNs(Rng& rng) const;
+  TimeNs NextGapNs(Rng& rng, double weight, double total_weight) const;
 
   // Exponential dwell remaining in the current phase (MMPP only).
   TimeNs NextDwellNs(Rng& rng) const;
@@ -62,7 +64,6 @@ class ArrivalProcess {
 
  private:
   ArrivalConfig cfg_;
-  std::size_t connections_;
   double offered_rps_ = 0;
   bool on_phase_ = false;
 };
