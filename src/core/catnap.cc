@@ -81,6 +81,7 @@ bool CatnapSocketQueue::Progress(CompletionSink& sink) {
     auto written = kernel_->WriteSock(fd_, push.unwritten);
     if (written.ok()) {
       push.unwritten = push.unwritten.Slice(*written);
+      push.started |= *written > 0;
       progress = true;
       if (!push.unwritten.empty()) {
         break;  // socket buffer full; retry next poll
@@ -152,6 +153,10 @@ bool CatnapSocketQueue::Progress(CompletionSink& sink) {
 Status CatnapSocketQueue::Cancel(QToken token) {
   for (auto it = pending_pushes_.begin(); it != pending_pushes_.end(); ++it) {
     if (it->token == token) {
+      if (it->started) {
+        // Dropping the unwritten tail would leave the peer a header without its body.
+        return Unsupported("push partly written");
+      }
       pending_pushes_.erase(it);
       return OkStatus();
     }

@@ -58,7 +58,8 @@ class CatnapSocketQueue final : public IoQueue {
  private:
   struct PendingPush {
     QToken token;
-    Buffer unwritten;  // the framed element's bytes not yet written
+    Buffer unwritten;      // the framed element's bytes not yet written
+    bool started = false;  // part of the frame is in the stream: not cancellable
   };
 
   SimKernel* kernel_;

@@ -166,6 +166,7 @@ class CatnipTcpQueue final : public IoQueue {
   struct PendingPush {
     QToken token;
     std::vector<Buffer> parts;  // unwritten wire parts
+    bool started = false;       // part of the frame is in the stream: not cancellable
   };
 
   // Under sparse polling, wires conn_'s on-ready callback to MarkDirty and marks the
