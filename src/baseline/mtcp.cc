@@ -92,27 +92,6 @@ Result<int> MtcpStack::Accept(int fd) {
   return new_fd;
 }
 
-Status MtcpStack::Connect(int fd, Endpoint remote) {
-  FdEntry* e = Entry(fd);
-  if (e == nullptr || e->conn != nullptr) {
-    return BadDescriptor("connect");
-  }
-  auto conn = net_->TcpConnect(remote);
-  RETURN_IF_ERROR(conn.status());
-  e->conn = *conn;
-  return OkStatus();
-}
-
-bool MtcpStack::ConnectSucceeded(int fd) const {
-  const FdEntry* e = Entry(fd);
-  return e != nullptr && e->conn != nullptr && e->conn->established();
-}
-
-bool MtcpStack::ConnectFailed(int fd) const {
-  const FdEntry* e = Entry(fd);
-  return e != nullptr && e->conn != nullptr && e->conn->dead();
-}
-
 Result<Buffer> MtcpStack::Read(int fd, std::size_t max) {
   host_->Work(host_->cost().libos_call_ns);
   FdEntry* e = Entry(fd);

@@ -42,9 +42,6 @@ class MtcpStack final : public Poller {
   Status Bind(int fd, std::uint16_t port);
   Status Listen(int fd);
   Result<int> Accept(int fd);  // kWouldBlock when empty
-  Status Connect(int fd, Endpoint remote);
-  bool ConnectSucceeded(int fd) const;
-  bool ConnectFailed(int fd) const;
 
   // POSIX read: copies matured (batch-delayed) bytes into a fresh buffer.
   Result<Buffer> Read(int fd, std::size_t max);

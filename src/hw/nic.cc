@@ -376,11 +376,6 @@ Status SimNic::InstallRxProgram(int queue, NicProgram program) {
   return OkStatus();
 }
 
-void SimNic::ClearRxPrograms(int queue) {
-  DEMI_CHECK(queue >= 0 && queue < config_.num_queues);
-  queues_[queue].rx_programs.clear();
-}
-
 int SimNic::RssQueue(const Buffer& frame) const {
   if (config_.num_queues == 1) {
     return 0;

@@ -101,7 +101,6 @@ class SimNic {
   // Installs a per-packet program on the RX path of `queue`. Requires
   // config().supports_offload; charges the control-path setup cost.
   Status InstallRxProgram(int queue, NicProgram program);
-  void ClearRxPrograms(int queue);
 
   // Flow steering (ntuple / Flow Director): IPv4 frames whose L4 protocol and
   // destination port match a rule bypass RSS and land on the rule's queue. This is

@@ -137,31 +137,6 @@ Histogram* TenantRegistry::tx_delay_histogram(TenantId t) {
   return slot.tx_delay_hist;
 }
 
-void TenantRegistry::PublishStats(MetricsRegistry& metrics) const {
-  for (std::size_t i = 0; i < tenants_.size(); ++i) {
-    const Slot_& slot = tenants_[i];
-    const auto publish = [&](const char* stat, std::uint64_t value) {
-      if (value == 0) {
-        return;
-      }
-      metrics.RecordNamed(
-          metrics.NamedHistogram("tenant/" + slot.config.name + "/" + stat), value);
-    };
-    publish("capability_violations", slot.stats.capability_violations);
-    publish("doorbells_throttled", slot.stats.doorbells_throttled);
-    publish("descriptors_throttled", slot.stats.descriptors_throttled);
-    publish("registrations_denied", slot.stats.registrations_denied);
-    publish("qps_denied", slot.stats.qps_denied);
-    publish("tx_frames", slot.stats.tx_frames);
-    publish("tx_bytes", slot.stats.tx_bytes);
-    publish("rx_frames", slot.stats.rx_frames);
-    publish("rx_bytes", slot.stats.rx_bytes);
-    publish("live_flow_slots", slot.stats.live_flow_slots);
-    publish("flow_slots_denied", slot.stats.flow_slots_denied);
-    publish("flow_slots_released", slot.stats.flow_slots_released);
-  }
-}
-
 std::uint64_t TenantRegistry::total_capability_violations() const {
   std::uint64_t n = 0;
   for (const Slot_& slot : tenants_) {

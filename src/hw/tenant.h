@@ -185,11 +185,6 @@ class TenantRegistry {
     return kBaseQuantumBytes * Slot(t).config.weight;
   }
 
-  // Publishes every non-zero per-tenant stat into the metrics registry as a named
-  // histogram sample ("tenant/<name>/<stat>"), so tenant accounting rides the
-  // existing JSON snapshot path. Call before MetricsRegistry::Snapshot.
-  void PublishStats(MetricsRegistry& metrics) const;
-
   // Stable per-tenant latency histogram ("tenant/<name>/tx_queue_delay_ns"): time a
   // frame spent queued in the shared TX engine before service.
   Histogram* tx_delay_histogram(TenantId t);

@@ -404,14 +404,6 @@ Result<std::size_t> SimKernel::WriteFile(int fd, Buffer data) {
   return data.size();
 }
 
-bool SimKernel::ReadReady(int fd, std::size_t len) {
-  FdEntry* e = Entry(fd);
-  if (e == nullptr || e->kind != FdEntry::Kind::kFile) {
-    return false;
-  }
-  return vfs_.MissingPages(e->node, e->pos, len).empty();
-}
-
 Result<Buffer> SimKernel::ReadFile(int fd, std::size_t len) {
   ChargeSyscall();
   FdEntry* e = Entry(fd);

@@ -124,10 +124,8 @@ class SimKernel final : public Poller {
   // Buffered write at the fd's position (syscall + VFS work + user->kernel copy).
   Result<std::size_t> WriteFile(int fd, Buffer data);
   // Cached read at the fd's position (syscall + copy). If any page is cold, device
-  // reads are started and kWouldBlock is returned; retry after the fill completes
-  // (poll ReadReady).
+  // reads are started and kWouldBlock is returned; retry once the fill completes.
   Result<Buffer> ReadFile(int fd, std::size_t len);
-  bool ReadReady(int fd, std::size_t len);  // all pages for the next read are resident
   // Flushes dirty pages + a device flush; completes asynchronously.
   Result<std::uint64_t> FsyncStart(int fd);
   bool FsyncDone(std::uint64_t token);

@@ -33,13 +33,6 @@ FsNode* Vfs::OpenOrCreate(const std::string& path) {
   return *Create(path);
 }
 
-Status Vfs::Remove(const std::string& path) {
-  if (nodes_.erase(path) == 0) {
-    return NotFound(path);
-  }
-  return OkStatus();
-}
-
 std::size_t Vfs::WriteAt(FsNode* node, std::size_t offset, std::span<const std::byte> data) {
   std::size_t pages_touched = 0;
   std::size_t at = 0;

@@ -46,7 +46,6 @@ class Vfs {
   Result<FsNode*> Lookup(const std::string& path);
   // Creates if missing, otherwise returns the existing node.
   FsNode* OpenOrCreate(const std::string& path);
-  Status Remove(const std::string& path);
   bool Exists(const std::string& path) const { return nodes_.contains(path); }
   std::size_t file_count() const { return nodes_.size(); }
 

@@ -342,13 +342,4 @@ MetricsSnapshot MetricsRegistry::Delta(const MetricsSnapshot& later,
   return out;
 }
 
-void MetricsRegistry::Reset() {
-  op_latency_.clear();
-  for (Histogram& h : sim_stats_) {
-    h.Reset();
-  }
-  named_.clear();
-  trace_.Clear();
-}
-
 }  // namespace demi

@@ -206,8 +206,6 @@ class MetricsRegistry {
   static MetricsSnapshot Delta(const MetricsSnapshot& later,
                                const MetricsSnapshot& earlier);
 
-  void Reset();
-
  private:
   bool enabled_ = true;
   std::map<std::string, std::array<Histogram, kNumOpKinds>, std::less<>> op_latency_;
