@@ -85,6 +85,7 @@ void LibOS::CompleteOp(QToken token, QResult result) {
     return;  // stale token (released earlier); drop the result
   }
   if (slot->state == OpState::kAbandoned) {
+    --abandoned_count_;
     ReleaseSlot(token);  // cancelled earlier; the caller no longer wants this result
     return;
   }
@@ -210,12 +211,14 @@ Status LibOS::Close(QDesc qd) {
   // Cancel splices touching this queue.
   std::erase_if(splices_, [qd](const Splice& s) { return s.in == qd || s.out == qd; });
   // Ops still pending on the descriptor can never complete now that the queue is
-  // gone. This is the one place they are cancelled, so no qtoken is stranded. Index
-  // loop: a completion observer may start new ops and grow the table.
-  for (std::size_t i = 0; pending_count_ > 0 && i < ops_.capacity(); ++i) {
+  // gone. This is the one place they are cancelled, so no qtoken is stranded; an
+  // abandoned op's slot is released by the same CompleteOp. Index loop: a
+  // completion observer may start new ops and grow the table.
+  for (std::size_t i = 0; pending_count_ + abandoned_count_ > 0 && i < ops_.capacity();
+       ++i) {
     const QToken token = TokenAt(i);
     const OpSlot* slot = FindSlot(token);
-    if (slot != nullptr && slot->qd == qd && slot->state == OpState::kPending) {
+    if (slot != nullptr && slot->qd == qd && slot->state != OpState::kCompleted) {
       QResult res;
       res.op = slot->type;
       res.status = Cancelled("queue closed");
@@ -547,6 +550,7 @@ Status LibOS::CancelOp(QToken token) {
     // The queue cannot un-register the op; swallow its completion instead.
     slot->state = OpState::kAbandoned;
     slot->watcher = nullptr;
+    ++abandoned_count_;
   } else {
     ReleaseSlot(token);
   }

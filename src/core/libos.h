@@ -195,6 +195,8 @@ class LibOS : public Poller, public CompletionSink {
   // Operations started but not yet completed (the no-hung-qtoken invariant checks
   // this is 0 after a WaitAll sweep).
   std::size_t pending_ops() const { return pending_count_; }
+  // Tokens holding a slot: pending, completed but unclaimed, or abandoned.
+  std::size_t live_tokens() const { return ops_.live(); }
 
  protected:
   // Queue factories each libOS provides for its device type.
@@ -296,8 +298,9 @@ class LibOS : public Poller, public CompletionSink {
   // Cached metrics handle for this libOS's per-op latency histograms. Lazily bound
   // (name() is virtual, so it cannot be resolved in the base constructor).
   std::array<Histogram, kNumOpKinds>* op_hists_ = nullptr;
-  SlotPool<OpSlot> ops_;           // every issued token, pending or parked-completed
-  std::size_t pending_count_ = 0;  // ops started and not yet completed/cancelled
+  SlotPool<OpSlot> ops_;             // every issued token, pending or parked-completed
+  std::size_t pending_count_ = 0;    // ops started and not yet completed/cancelled
+  std::size_t abandoned_count_ = 0;  // cancelled ops whose completion is still due
   std::uint64_t done_seq_counter_ = 0;
   // Completion ready ring: CompleteOp pushes finished tokens here; Wait/WaitAny/
   // WaitAll consume in completion (FIFO) order instead of rescanning their token sets
