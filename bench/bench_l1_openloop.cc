@@ -10,9 +10,9 @@
 // Environment:
 //   BENCH_SMOKE=1         10^4 connections and fewer sweep points (ctest smoke);
 //                         default is the full 10^6-connection sweep.
-//   BENCH_OPENLOOP_OUT    where to write the sweep json (default: skip the file;
-//                         the bench always drops a metrics snapshot via
-//                         BENCH_METRICS_DIR like the other benches).
+//   BENCH_METRICS_DIR     where to drop bench_l1_openloop.metrics.json, the sweep
+//                         json (run_benches.sh assembles BENCH_openloop.json from
+//                         it).
 
 #include <chrono>
 #include <cstdio>
@@ -121,15 +121,7 @@ int Run() {
   }
   runner.StopLoad();
 
-  const std::string json = Json(sweep, cfg, ramp_ok);
-  bench::WriteMetricsFile("bench_l1_openloop", json);
-  if (const char* out = std::getenv("BENCH_OPENLOOP_OUT")) {
-    if (std::FILE* f = std::fopen(out, "w")) {
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fclose(f);
-      std::printf("\nwrote sweep to %s\n", out);
-    }
-  }
+  bench::WriteMetricsFile("bench_l1_openloop", Json(sweep, cfg, ramp_ok));
 
   // Shape checks. The first point must be comfortably under the knee and the last
   // comfortably past it; in between the curve must behave like an open-loop system:
