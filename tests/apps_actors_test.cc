@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "src/apps/actors.h"
 #include "src/core/harness.h"
 
@@ -250,6 +252,115 @@ TEST(KvActorsTest, MultipleClientsShareOneServer) {
   EXPECT_EQ(server.requests(), 400u);
   for (const auto& c : clients) {
     EXPECT_FALSE(c->failed());
+  }
+}
+
+// End clock, client completed, server served, then the server host's syscalls,
+// bytes copied and packets (tx + rx), then the client's p50 and p99.
+using ActorSnapshot = std::tuple<TimeNs, std::uint64_t, std::uint64_t, std::uint64_t,
+                                 std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t>;
+
+template <typename Client>
+ActorSnapshot Snap(TestHarness& h, const TestHarness::Host& sh, Client& client,
+                   std::uint64_t served) {
+  const Counters& c = sh.cpu->counters();
+  return ActorSnapshot{h.sim().now(),
+                       client.completed(),
+                       served,
+                       c.Get(Counter::kSyscalls),
+                       c.Get(Counter::kBytesCopied),
+                       c.Get(Counter::kPacketsTx) + c.Get(Counter::kPacketsRx),
+                       client.latency().P50(),
+                       client.latency().P99()};
+}
+
+// Golden timelines: one run per server loop and client loop, so a change to where an
+// actor reads, writes, copies or charges moves a constant.
+TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
+  {
+    TestHarness h;
+    auto& sh = h.AddHost("server", "10.0.0.1");
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+    auto& sl = h.Catnap(sh);
+    auto& cl = h.Catnap(ch);
+    DemiEchoServer server(&sl, kPort);
+    DemiEchoClient client(&cl, Endpoint{sh.ip, kPort}, 64, 100);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+              (ActorSnapshot{1145562, 100, 100, 304, 13600, 206, 11391, 11391}));
+  }
+  {
+    TestHarness h;
+    auto& sh = h.AddHost("server", "10.0.0.1", RdmaOpts());
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts(/*rdma=*/true));
+    auto& sl = h.Catmint(sh);
+    auto& cl = h.Catmint(ch);
+    DemiEchoServer server(&sl, kPort);
+    DemiEchoClient client(&cl, Endpoint{sh.ip, kPort}, 64, 100);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+              (ActorSnapshot{526280, 100, 100, 0, 0, 200, 3659, 3659}));
+  }
+  {
+    TestHarness h;
+    auto& sh = h.AddHost("server", "10.0.0.1");
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+    auto& sl = h.Catnip(sh);
+    auto& cl = h.Catnip(ch);
+    DemiKvServer server(&sl, kPort);
+    KvWorkloadConfig wcfg;
+    wcfg.num_keys = 100;
+    wcfg.value_bytes = 4096;
+    KvWorkload workload(wcfg);
+    for (std::uint64_t k = 0; k < wcfg.num_keys; ++k) {
+      (void)server.engine().Execute(workload.LoadCommand(k));
+    }
+    DemiKvClient client(&cl, Endpoint{sh.ip, kPort}, &workload, 200);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.requests()),
+              (ActorSnapshot{2017284, 200, 200, 5, 0, 1006, 8319, 8358}));
+  }
+  {
+    TestHarness h;
+    auto& sh = h.AddHost("server", "10.0.0.1");
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+    PosixEchoServer server(sh.kernel.get(), kPort, 64);
+    PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 100);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+              (ActorSnapshot{1216733, 100, 100, 409, 12800, 206, 12031, 12031}));
+  }
+  {
+    TestHarness h;
+    auto& sh = h.AddHost("server", "10.0.0.1");
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+    PosixKvServer server(sh.kernel.get(), kPort);
+    KvWorkloadConfig wcfg;
+    wcfg.num_keys = 10;
+    wcfg.value_bytes = 512;
+    wcfg.get_ratio = 0.5;
+    KvWorkload workload(wcfg);
+    PosixKvClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, &workload, 50,
+                         /*fragments=*/4, /*fragment_gap_ns=*/20 * kMicrosecond);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.stats().requests),
+              (ActorSnapshot{3770554, 50, 50, 659, 22760, 356, 75184, 75184}));
+    EXPECT_EQ(server.stats().incomplete_scans, 150u);
+  }
+  {
+    TestHarness h;
+    HostOptions server_opts;
+    server_opts.with_kernel = false;
+    auto& sh = h.AddHost("server", "10.0.0.1", server_opts);
+    auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+    MtcpConfig mcfg;
+    mcfg.ip = sh.ip;
+    MtcpStack mtcp(sh.cpu.get(), sh.nic.get(), mcfg);
+    MtcpEchoServer server(&mtcp, kPort, 64);
+    PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 100);
+    ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+              (ActorSnapshot{2130393, 100, 100, 0, 12800, 206, 21247, 21247}));
   }
 }
 
