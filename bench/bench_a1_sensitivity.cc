@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/echo_runners.h"
+#include "bench/runners.h"
 
 namespace demi {
 namespace {

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "bench/kv_runners.h"
+#include "bench/runners.h"
 
 namespace demi {
 namespace {

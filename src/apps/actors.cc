@@ -1,25 +1,15 @@
 #include "src/apps/actors.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/logging.h"
 
 namespace demi {
 
-namespace {
+// --- DemiServer ---
 
-// Fills a freshly allocated sga with a recognizable pattern.
-SgArray MakeMessage(LibOS& libos, std::size_t bytes) {
-  SgArray sga = libos.SgaAlloc(bytes);
-  std::memset(sga.segment(0).mutable_data(), 'e', bytes);
-  return sga;
-}
-
-}  // namespace
-
-// --- DemiEchoServer ---
-
-DemiEchoServer::DemiEchoServer(LibOS* libos, std::uint16_t port) : libos_(libos) {
+DemiServer::DemiServer(LibOS* libos, std::uint16_t port) : libos_(libos) {
   listen_qd_ = *libos_->Socket();
   DEMI_CHECK(libos_->Bind(listen_qd_, port).ok());
   DEMI_CHECK(libos_->Listen(listen_qd_).ok());
@@ -27,9 +17,9 @@ DemiEchoServer::DemiEchoServer(LibOS* libos, std::uint16_t port) : libos_(libos)
   libos_->sim().AddPoller(this);
 }
 
-DemiEchoServer::~DemiEchoServer() { libos_->sim().RemovePoller(this); }
+DemiServer::~DemiServer() { libos_->sim().RemovePoller(this); }
 
-bool DemiEchoServer::Poll() {
+bool DemiServer::Poll() {
   bool progress = false;
 
   if (accept_token_ != kInvalidQToken && libos_->OpDone(accept_token_)) {
@@ -68,10 +58,9 @@ bool DemiEchoServer::Poll() {
         conn.dead = true;
         continue;
       }
-      // Echo: push back the very same sga — zero copies, by construction.
-      if (auto push = libos_->Push(conn.qd, r->sga); push.ok()) {
+      if (auto push = libos_->Push(conn.qd, Reply(r->sga)); push.ok()) {
         conn.push = *push;
-        ++echoed_;
+        ++served_;
       }
       if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
         conn.pop = *pop;
@@ -81,31 +70,28 @@ bool DemiEchoServer::Poll() {
   return progress;
 }
 
-// --- DemiEchoClient ---
+// --- DemiClient ---
 
-DemiEchoClient::DemiEchoClient(LibOS* libos, Endpoint server, std::size_t msg_bytes,
-                               std::uint64_t target_requests)
-    : libos_(libos), server_(server), msg_bytes_(msg_bytes), target_(target_requests) {
+DemiClient::DemiClient(LibOS* libos, Endpoint server, std::uint64_t target_requests)
+    : ClosedLoopClient(target_requests), libos_(libos) {
   qd_ = *libos_->Socket();
-  auto token = libos_->ConnectAsync(qd_, server_);
+  auto token = libos_->ConnectAsync(qd_, server);
   DEMI_CHECK(token.ok());
   token_ = *token;
   libos_->sim().AddPoller(this);
 }
 
-DemiEchoClient::~DemiEchoClient() { libos_->sim().RemovePoller(this); }
+DemiClient::~DemiClient() { libos_->sim().RemovePoller(this); }
 
-bool DemiEchoClient::Poll() {
+bool DemiClient::Poll() {
+  if (done() || (state_ != State::kSend && !libos_->OpDone(token_))) {
+    return false;
+  }
   switch (state_) {
     case State::kConnecting: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
       auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
       if (!r.ok() || !r->status.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
+        Fail();
         return true;
       }
       state_ = State::kSend;
@@ -113,10 +99,9 @@ bool DemiEchoClient::Poll() {
     }
     case State::kSend: {
       sent_at_ = libos_->sim().now();
-      auto push = libos_->Push(qd_, MakeMessage(*libos_, msg_bytes_));
+      auto push = libos_->Push(qd_, NextRequest());
       if (!push.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
+        Fail();
         return true;
       }
       token_ = *push;
@@ -124,14 +109,10 @@ bool DemiEchoClient::Poll() {
       return true;
     }
     case State::kWaitPush: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
       (void)libos_->TakeResult(token_);
       auto pop = libos_->Pop(qd_);
       if (!pop.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
+        Fail();
         return true;
       }
       token_ = *pop;
@@ -139,45 +120,42 @@ bool DemiEchoClient::Poll() {
       return true;
     }
     case State::kWaitPop: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
       auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok() || r->sga.total_bytes() != msg_bytes_) {
-        failed_ = true;
-        state_ = State::kDone;
+      if (!r.ok() || !r->status.ok() || !Accept(r->sga)) {
+        Fail();
         return true;
       }
-      latency_.Record(static_cast<std::uint64_t>(libos_->sim().now() - sent_at_));
-      if (++completed_ >= target_) {
+      if (Complete(libos_->sim().now() - sent_at_)) {
         (void)libos_->Close(qd_);
-        state_ = State::kDone;
       } else {
         state_ = State::kSend;
       }
       return true;
     }
-    case State::kDone:
-      return false;
   }
   return false;
 }
 
-// --- DemiKvServer ---
+// --- Demikernel echo and KV ---
 
-DemiKvServer::DemiKvServer(LibOS* libos, std::uint16_t port)
-    : libos_(libos), engine_(&libos->host()) {
-  listen_qd_ = *libos_->Socket();
-  DEMI_CHECK(libos_->Bind(listen_qd_, port).ok());
-  DEMI_CHECK(libos_->Listen(listen_qd_).ok());
-  accept_token_ = *libos_->AcceptAsync(listen_qd_);
-  libos_->sim().AddPoller(this);
+SgArray DemiEchoClient::NextRequest() {
+  // A freshly allocated sga filled with a recognizable pattern.
+  SgArray sga = libos_->SgaAlloc(msg_bytes_);
+  std::memset(sga.segment(0).mutable_data(), 'e', msg_bytes_);
+  return sga;
 }
 
-DemiKvServer::~DemiKvServer() { libos_->sim().RemovePoller(this); }
-
-SgArray DemiKvServer::ReplySga(const KvReply& reply) {
+SgArray DemiKvServer::Reply(const SgArray& request) {
+  // §3.2's payoff: the element IS a complete request — parse it once, zero copy.
+  const Buffer wire = request.segment_count() == 1 ? request.segment(0) : request.Flatten();
+  auto args = ParseRespCommandBuffers(wire);
+  KvReply reply;
+  if (args.ok()) {
+    reply = engine_.Execute(*args);
+  } else {
+    reply.kind = RespValue::Kind::kError;
+    reply.text = "ERR protocol error";
+  }
   if (reply.kind == RespValue::Kind::kBulk) {
     // The reply's value segment REFERENCES the stored value (§4.5 zero copy + free
     // protection); only the tiny RESP envelope is fresh memory.
@@ -190,162 +168,16 @@ SgArray DemiKvServer::ReplySga(const KvReply& reply) {
   return SgArray(Buffer::CopyOf(EncodeRespValue(reply.ToValue())));
 }
 
-bool DemiKvServer::Poll() {
-  bool progress = false;
-
-  if (accept_token_ != kInvalidQToken && libos_->OpDone(accept_token_)) {
-    auto r = libos_->TakeResult(accept_token_);
-    accept_token_ = kInvalidQToken;
-    progress = true;
-    if (r.ok() && r->status.ok()) {
-      Conn conn{r->new_qd};
-      if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
-        conn.pop = *pop;
-      }
-      conns_.push_back(conn);
-    }
-    if (auto t = libos_->AcceptAsync(listen_qd_); t.ok()) {
-      accept_token_ = *t;
-    }
-  }
-
-  for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
-    if (conn.push != kInvalidQToken && libos_->OpDone(conn.push)) {
-      (void)libos_->TakeResult(conn.push);
-      conn.push = kInvalidQToken;
-      progress = true;
-    }
-    if (conn.pop != kInvalidQToken && conn.push == kInvalidQToken &&
-        libos_->OpDone(conn.pop)) {
-      auto r = libos_->TakeResult(conn.pop);
-      conn.pop = kInvalidQToken;
-      progress = true;
-      if (!r.ok() || !r->status.ok()) {
-        (void)libos_->Close(conn.qd);
-        conn.dead = true;
-        continue;
-      }
-      // §3.2's payoff: the element IS a complete request — parse it once, zero copy.
-      const Buffer request = r->sga.segment_count() == 1 ? r->sga.segment(0)
-                                                         : r->sga.Flatten();
-      auto args = ParseRespCommandBuffers(request);
-      KvReply reply;
-      if (args.ok()) {
-        reply = engine_.Execute(*args);
-      } else {
-        reply.kind = RespValue::Kind::kError;
-        reply.text = "ERR protocol error";
-      }
-      ++requests_;
-      if (auto push = libos_->Push(conn.qd, ReplySga(reply)); push.ok()) {
-        conn.push = *push;
-      }
-      if (auto pop = libos_->Pop(conn.qd); pop.ok()) {
-        conn.pop = *pop;
-      }
-    }
-  }
-  return progress;
-}
-
-// --- DemiKvClient ---
-
-DemiKvClient::DemiKvClient(LibOS* libos, Endpoint server, KvWorkload* workload,
-                           std::uint64_t target_requests)
-    : libos_(libos), server_(server), workload_(workload), target_(target_requests) {
-  qd_ = *libos_->Socket();
-  auto token = libos_->ConnectAsync(qd_, server_);
-  DEMI_CHECK(token.ok());
-  token_ = *token;
-  libos_->sim().AddPoller(this);
-}
-
-DemiKvClient::~DemiKvClient() { libos_->sim().RemovePoller(this); }
-
-SgArray DemiKvClient::EncodeRequest(const RespCommand& cmd) {
-  const std::string wire = EncodeRespCommand(cmd);
+SgArray DemiKvClient::NextRequest() {
+  const std::string wire = EncodeRespCommand(workload_->Next());
   SgArray sga = libos_->SgaAlloc(wire.size());
   std::memcpy(sga.segment(0).mutable_data(), wire.data(), wire.size());
   return sga;
 }
 
-bool DemiKvClient::Poll() {
-  switch (state_) {
-    case State::kConnecting: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      state_ = State::kSend;
-      return true;
-    }
-    case State::kSend: {
-      sent_at_ = libos_->sim().now();
-      auto push = libos_->Push(qd_, EncodeRequest(workload_->Next()));
-      if (!push.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      token_ = *push;
-      state_ = State::kWaitPush;
-      return true;
-    }
-    case State::kWaitPush: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      (void)libos_->TakeResult(token_);
-      auto pop = libos_->Pop(qd_);
-      if (!pop.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      token_ = *pop;
-      state_ = State::kWaitPop;
-      return true;
-    }
-    case State::kWaitPop: {
-      if (!libos_->OpDone(token_)) {
-        return false;
-      }
-      auto r = libos_->TakeResult(token_);
-      token_ = kInvalidQToken;
-      if (!r.ok() || !r->status.ok()) {
-        failed_ = true;
-        state_ = State::kDone;
-        return true;
-      }
-      latency_.Record(static_cast<std::uint64_t>(libos_->sim().now() - sent_at_));
-      if (++completed_ >= target_) {
-        (void)libos_->Close(qd_);
-        state_ = State::kDone;
-      } else {
-        state_ = State::kSend;
-      }
-      return true;
-    }
-    case State::kDone:
-      return false;
-  }
-  return false;
-}
+// --- PosixServer ---
 
-// --- PosixEchoServer ---
-
-PosixEchoServer::PosixEchoServer(SimKernel* kernel, std::uint16_t port,
-                                 std::size_t msg_bytes)
-    : kernel_(kernel), msg_bytes_(msg_bytes) {
+PosixServer::PosixServer(SimKernel* kernel, std::uint16_t port) : kernel_(kernel) {
   listen_fd_ = *kernel_->Socket();
   DEMI_CHECK(kernel_->Bind(listen_fd_, port).ok());
   DEMI_CHECK(kernel_->Listen(listen_fd_).ok());
@@ -354,9 +186,15 @@ PosixEchoServer::PosixEchoServer(SimKernel* kernel, std::uint16_t port,
   kernel_->host().sim().AddPoller(this);
 }
 
-PosixEchoServer::~PosixEchoServer() { kernel_->host().sim().RemovePoller(this); }
+PosixServer::~PosixServer() { kernel_->host().sim().RemovePoller(this); }
 
-bool PosixEchoServer::Poll() {
+void PosixServer::CloseConn(Conn& conn) {
+  (void)kernel_->EpollDel(epfd_, conn.fd);
+  (void)kernel_->CloseFd(conn.fd);
+  conn.dead = true;
+}
+
+bool PosixServer::Poll() {
   bool want_outbox_flush = false;
   for (const Conn& conn : conns_) {
     if (!conn.dead && !conn.outbox.empty()) {
@@ -393,199 +231,20 @@ bool PosixEchoServer::Poll() {
         auto data = kernel_->ReadSock(conn.fd, 65536);
         if (!data.ok()) {
           if (data.code() != ErrorCode::kWouldBlock) {
-            (void)kernel_->EpollDel(epfd_, conn.fd);
-            (void)kernel_->CloseFd(conn.fd);
-            conn.dead = true;
+            CloseConn(conn);
           }
           break;
         }
         conn.inbox.append(data->AsStringView());
       }
-      break;
-    }
-  }
-
-  // Echo complete messages; stage partial writes in the outbox.
-  for (Conn& conn : conns_) {
-    if (conn.dead) {
-      continue;
-    }
-    while (conn.inbox.size() >= msg_bytes_) {
-      conn.outbox.append(conn.inbox, 0, msg_bytes_);
-      conn.inbox.erase(0, msg_bytes_);
-      ++echoed_;
-    }
-    while (!conn.outbox.empty()) {
-      auto written = kernel_->WriteSock(conn.fd, Buffer::CopyOf(conn.outbox));
-      if (!written.ok()) {
-        break;
-      }
-      conn.outbox.erase(0, *written);
-    }
-  }
-  return progress;
-}
-
-// --- PosixEchoClient ---
-
-PosixEchoClient::PosixEchoClient(SimKernel* kernel, Endpoint server,
-                                 std::size_t msg_bytes, std::uint64_t target_requests)
-    : kernel_(kernel), server_(server), msg_bytes_(msg_bytes), target_(target_requests) {
-  fd_ = *kernel_->Socket();
-  DEMI_CHECK(kernel_->Connect(fd_, server_).ok());
-  kernel_->host().sim().AddPoller(this);
-}
-
-PosixEchoClient::~PosixEchoClient() { kernel_->host().sim().RemovePoller(this); }
-
-bool PosixEchoClient::Poll() {
-  switch (state_) {
-    case State::kConnecting:
-      if (kernel_->ConnectSucceeded(fd_)) {
-        state_ = State::kSend;
-        return true;
-      }
-      if (!kernel_->ConnectInProgress(fd_)) {
-        state_ = State::kDone;  // refused
-        return true;
-      }
-      return false;
-    case State::kSend: {
-      if (sent_ == 0) {
-        sent_at_ = kernel_->host().now();
-      }
-      auto written =
-          kernel_->WriteSock(fd_, Buffer::CopyOf(std::string(msg_bytes_ - sent_, 'p')));
-      if (!written.ok()) {
-        return false;  // retry next poll
-      }
-      sent_ += *written;
-      if (sent_ < msg_bytes_) {
-        return true;  // partial write: the tail goes out next poll
-      }
-      sent_ = 0;
-      received_ = 0;
-      state_ = State::kReceive;
-      return true;
-    }
-    case State::kReceive: {
-      bool progress = false;
-      while (received_ < msg_bytes_) {
-        auto data = kernel_->ReadSock(fd_, msg_bytes_ - received_);
-        if (!data.ok()) {
-          if (data.code() != ErrorCode::kWouldBlock) {
-            state_ = State::kDone;
-            return true;
-          }
-          return progress;
-        }
-        received_ += data->size();
-        progress = true;
-      }
-      latency_.Record(static_cast<std::uint64_t>(kernel_->host().now() - sent_at_));
-      if (++completed_ >= target_) {
-        (void)kernel_->CloseFd(fd_);
-        state_ = State::kDone;
-      } else {
-        state_ = State::kSend;
-      }
-      return true;
-    }
-    case State::kDone:
-      return false;
-  }
-  return false;
-}
-
-// --- PosixKvServer ---
-
-PosixKvServer::PosixKvServer(SimKernel* kernel, std::uint16_t port)
-    : kernel_(kernel), engine_(&kernel->host()) {
-  listen_fd_ = *kernel_->Socket();
-  DEMI_CHECK(kernel_->Bind(listen_fd_, port).ok());
-  DEMI_CHECK(kernel_->Listen(listen_fd_).ok());
-  epfd_ = *kernel_->EpollCreate();
-  DEMI_CHECK(kernel_->EpollAdd(epfd_, listen_fd_, kEpollIn).ok());
-  kernel_->host().sim().AddPoller(this);
-}
-
-PosixKvServer::~PosixKvServer() { kernel_->host().sim().RemovePoller(this); }
-
-bool PosixKvServer::Poll() {
-  bool want_outbox_flush = false;
-  for (const Conn& conn : conns_) {
-    if (!conn.dead && !conn.outbox.empty()) {
-      want_outbox_flush = true;
-      break;
-    }
-  }
-  if (!kernel_->EpollAnyReady(epfd_) && !want_outbox_flush) {
-    return false;
-  }
-  auto events = kernel_->EpollWait(epfd_, 64);
-  if (!events.ok()) {
-    return false;
-  }
-  bool progress = !events->empty() || want_outbox_flush;
-
-  for (const EpollEvent& ev : *events) {
-    if (ev.fd == listen_fd_) {
-      while (true) {
-        auto fd = kernel_->Accept(listen_fd_);
-        if (!fd.ok()) {
-          break;
-        }
-        (void)kernel_->EpollAdd(epfd_, *fd, kEpollIn);
-        conns_.push_back(Conn{*fd, {}, "", false});
-      }
-      continue;
-    }
-    for (Conn& conn : conns_) {
-      if (conn.fd != ev.fd || conn.dead) {
-        continue;
-      }
-      while (true) {
-        auto data = kernel_->ReadSock(conn.fd, 65536);
-        if (!data.ok()) {
-          if (data.code() != ErrorCode::kWouldBlock) {
-            (void)kernel_->EpollDel(epfd_, conn.fd);
-            (void)kernel_->CloseFd(conn.fd);
-            conn.dead = true;
-          }
-          break;
-        }
-        conn.parser.Feed(data->AsStringView());
-      }
-
-      // Drain complete requests; incomplete tails are the §3.2 wasted scans.
-      const std::uint64_t scans_before = conn.parser.incomplete_scans();
-      while (true) {
-        auto next = conn.parser.Next();
-        if (!next.ok()) {
-          (void)kernel_->EpollDel(epfd_, conn.fd);
-          (void)kernel_->CloseFd(conn.fd);
-          conn.dead = true;
-          break;
-        }
-        if (!next->has_value()) {
-          break;
-        }
-        const RespValue reply = engine_.Execute(**next);
-        conn.outbox += EncodeRespValue(reply);
-        ++stats_.requests;
-      }
-      const std::uint64_t new_scans = conn.parser.incomplete_scans() - scans_before;
-      if (new_scans > 0) {
-        // The server woke up, crossed the kernel, and scanned — for nothing.
-        stats_.incomplete_scans += new_scans;
-        kernel_->host().Count(Counter::kStreamScans, new_scans);
-        kernel_->host().Work(static_cast<TimeNs>(new_scans) *
-                             kernel_->host().cost().partial_scan_ns);
+      if (!conn.dead && !Consume(conn.inbox, conn.outbox)) {
+        CloseConn(conn);
       }
       break;
     }
   }
 
+  // Stage partial writes in the outbox.
   for (Conn& conn : conns_) {
     if (conn.dead) {
       continue;
@@ -601,25 +260,31 @@ bool PosixKvServer::Poll() {
   return progress;
 }
 
-// --- PosixKvClient ---
+// --- PosixClient ---
 
-PosixKvClient::PosixKvClient(SimKernel* kernel, Endpoint server, KvWorkload* workload,
-                             std::uint64_t target_requests, int fragments,
-                             TimeNs fragment_gap_ns)
-    : kernel_(kernel),
-      server_(server),
-      workload_(workload),
-      target_(target_requests),
+PosixClient::PosixClient(SimKernel* kernel, Endpoint server, std::uint64_t target_requests,
+                         int fragments, TimeNs fragment_gap_ns)
+    : ClosedLoopClient(target_requests),
+      kernel_(kernel),
       fragments_(std::max(fragments, 1)),
       fragment_gap_ns_(fragment_gap_ns) {
   fd_ = *kernel_->Socket();
-  DEMI_CHECK(kernel_->Connect(fd_, server_).ok());
+  DEMI_CHECK(kernel_->Connect(fd_, server).ok());
   kernel_->host().sim().AddPoller(this);
 }
 
-PosixKvClient::~PosixKvClient() { kernel_->host().sim().RemovePoller(this); }
+PosixClient::~PosixClient() { kernel_->host().sim().RemovePoller(this); }
 
-bool PosixKvClient::Poll() {
+Result<Buffer> PosixClient::Read(std::size_t max_bytes) {
+  auto data = kernel_->ReadSock(fd_, max_bytes);
+  read_any_ = read_any_ || data.ok();
+  return data;
+}
+
+bool PosixClient::Poll() {
+  if (done()) {
+    return false;
+  }
   switch (state_) {
     case State::kConnecting:
       if (kernel_->ConnectSucceeded(fd_)) {
@@ -627,13 +292,13 @@ bool PosixKvClient::Poll() {
         return true;
       }
       if (!kernel_->ConnectInProgress(fd_)) {
-        state_ = State::kDone;
+        Fail();  // refused
         return true;
       }
       return false;
     case State::kSend: {
       if (wire_.empty()) {
-        wire_ = EncodeRespCommand(workload_->Next());
+        wire_ = NextRequest();
         wire_sent_ = 0;
         sent_at_ = kernel_->host().now();
         next_write_at_ = sent_at_;
@@ -648,7 +313,7 @@ bool PosixKvClient::Poll() {
       auto written =
           kernel_->WriteSock(fd_, Buffer::CopyOf(std::string_view(wire_).substr(wire_sent_, take)));
       if (!written.ok()) {
-        return false;
+        return false;  // retry next poll
       }
       wire_sent_ += *written;
       if (wire_sent_ >= wire_.size()) {
@@ -661,40 +326,92 @@ bool PosixKvClient::Poll() {
       return true;
     }
     case State::kReceive: {
-      bool progress = false;
-      while (true) {
-        auto data = kernel_->ReadSock(fd_, 65536);
-        if (!data.ok()) {
-          if (data.code() != ErrorCode::kWouldBlock) {
-            state_ = State::kDone;
-            return true;
-          }
-          break;
-        }
-        responses_.Feed(data->AsStringView());
-        progress = true;
-      }
-      auto reply = responses_.Next();
-      if (!reply.ok()) {
-        state_ = State::kDone;
+      read_any_ = false;
+      auto whole = ReadReply();
+      if (!whole.ok()) {
+        Fail();
         return true;
       }
-      if (!reply->has_value()) {
-        return progress;
+      if (!*whole) {
+        return read_any_;
       }
-      latency_.Record(static_cast<std::uint64_t>(kernel_->host().now() - sent_at_));
-      if (++completed_ >= target_) {
+      if (Complete(kernel_->host().now() - sent_at_)) {
         (void)kernel_->CloseFd(fd_);
-        state_ = State::kDone;
       } else {
         state_ = State::kSend;
       }
       return true;
     }
-    case State::kDone:
-      return false;
   }
   return false;
+}
+
+// --- POSIX echo and KV ---
+
+bool PosixEchoServer::Consume(std::string& inbox, std::string& outbox) {
+  while (inbox.size() >= msg_bytes_) {
+    outbox.append(inbox, 0, msg_bytes_);
+    inbox.erase(0, msg_bytes_);
+    ++served_;
+  }
+  return true;
+}
+
+Result<bool> PosixEchoClient::ReadReply() {
+  // Bounded reads: never ask the kernel for more than the reply still owes.
+  while (received_ < msg_bytes_) {
+    auto data = Read(msg_bytes_ - received_);
+    if (!data.ok()) {
+      if (data.code() != ErrorCode::kWouldBlock) {
+        return data.status();
+      }
+      return false;
+    }
+    received_ += data->size();
+  }
+  received_ = 0;
+  return true;
+}
+
+bool PosixKvServer::Consume(std::string& inbox, std::string& outbox) {
+  while (true) {
+    auto next = NextRespCommand(inbox);
+    if (!next.ok()) {
+      return false;
+    }
+    if (!next->has_value()) {
+      break;
+    }
+    outbox += EncodeRespValue(engine_.Execute(**next));
+    ++served_;
+  }
+  if (!inbox.empty()) {
+    // §3.2: the server woke up, crossed the kernel, and scanned a partial request —
+    // for nothing.
+    ++incomplete_scans_;
+    HostCpu& host = kernel_->host();
+    host.Count(Counter::kStreamScans, 1);
+    host.Work(host.cost().partial_scan_ns);
+  }
+  return true;
+}
+
+Result<bool> PosixKvClient::ReadReply() {
+  while (true) {
+    auto data = Read(65536);
+    if (!data.ok()) {
+      if (data.code() != ErrorCode::kWouldBlock) {
+        return data.status();
+      }
+      break;
+    }
+    responses_.Feed(data->AsStringView());
+  }
+  auto reply = responses_.Next();
+  if (!reply.ok()) {
+    return reply.status();
+  }
+  return reply->has_value();
 }
 
 // --- MtcpEchoServer ---
@@ -744,7 +461,7 @@ bool MtcpEchoServer::Poll() {
         break;
       }
       conn.inbox.erase(0, msg_bytes_);
-      ++echoed_;
+      ++served_;
       progress = true;
     }
   }

@@ -167,23 +167,22 @@ std::string EncodeRespValue(const RespValue& value) {
   return "";
 }
 
-Result<std::optional<RespCommand>> RespRequestParser::Next() {
-  if (buffer_.empty()) {
+Result<std::optional<RespCommand>> NextRespCommand(std::string& stream) {
+  if (stream.empty()) {
     return std::optional<RespCommand>(std::nullopt);
   }
   std::size_t pos = 0;
   RespCommand out;
-  const int rc = TryParseCommand(buffer_, pos, out);
+  const int rc = TryParseCommand(stream, pos, out);
   if (rc == -1) {
     return ProtocolError("malformed request stream");
   }
   if (rc == 0) {
     // The §3.2 pathology: we scanned the buffer and found no complete request — this
     // work bought nothing and will be repeated when more bytes arrive.
-    ++incomplete_scans_;
     return std::optional<RespCommand>(std::nullopt);
   }
-  buffer_.erase(0, pos);
+  stream.erase(0, pos);
   return std::optional<RespCommand>(std::move(out));
 }
 

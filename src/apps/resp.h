@@ -3,9 +3,10 @@
 //
 // Requests are arrays of bulk strings; responses are simple strings, errors, integers,
 // bulk strings, or nil. Two consumption modes mirror the paper's §3.2 contrast:
-//   - RespRequestParser: incremental, for POSIX byte streams — it must cope with
-//     partial requests, and every failed attempt on an incomplete buffer is the wasted
-//     work the paper attributes to the pipe abstraction (counted as kStreamScans);
+//   - NextRespCommand(stream): incremental, for POSIX byte streams — it must cope
+//     with partial requests, and every failed attempt on an incomplete buffer is the
+//     wasted work the paper attributes to the pipe abstraction (counted as
+//     kStreamScans);
 //   - ParseRequest(whole buffer): one-shot, for Demikernel atomic queue elements —
 //     by construction it only ever sees complete requests.
 
@@ -52,26 +53,13 @@ struct RespValue {
 
 std::string EncodeRespValue(const RespValue& value);
 
-// Incremental request parser for byte streams (POSIX mode).
-class RespRequestParser {
- public:
-  // Appends stream bytes.
-  void Feed(std::string_view bytes) { buffer_.append(bytes); }
-
-  // Attempts to parse the next complete request. Returns:
-  //   - a command when one is complete,
-  //   - nullopt when the buffered data is incomplete (the §3.2 wasted scan),
-  //   - kProtocolError on malformed input.
-  Result<std::optional<RespCommand>> Next();
-
-  std::size_t buffered_bytes() const { return buffer_.size(); }
-  // How many Next() calls found only an incomplete request.
-  std::uint64_t incomplete_scans() const { return incomplete_scans_; }
-
- private:
-  std::string buffer_;
-  std::uint64_t incomplete_scans_ = 0;
-};
+// Incremental request parsing over a byte stream's buffered bytes (POSIX mode):
+// takes the next complete request off the front of `stream`, in place. Returns:
+//   - a command when one is complete (its bytes are erased from `stream`),
+//   - nullopt when `stream` holds no complete request; on a non-empty `stream` that
+//     is the §3.2 wasted scan,
+//   - kProtocolError on malformed input.
+Result<std::optional<RespCommand>> NextRespCommand(std::string& stream);
 
 // Incremental response parser for byte streams (POSIX client mode).
 class RespResponseParser {

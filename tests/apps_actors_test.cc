@@ -39,7 +39,7 @@ TEST(EchoActorsTest, DemiCatnipEcho) {
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   EXPECT_FALSE(client.failed());
   EXPECT_EQ(client.completed(), 100u);
-  EXPECT_EQ(server.echoed(), 100u);
+  EXPECT_EQ(server.served(), 100u);
   EXPECT_GT(client.latency().P50(), 0u);
 }
 
@@ -53,7 +53,7 @@ TEST(EchoActorsTest, DemiCatnapEcho) {
   DemiEchoClient client(&client_libos, Endpoint{sh.ip, kPort}, 64, 50);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   EXPECT_FALSE(client.failed());
-  EXPECT_EQ(server.echoed(), 50u);
+  EXPECT_EQ(server.served(), 50u);
 }
 
 TEST(EchoActorsTest, DemiCatmintEcho) {
@@ -66,7 +66,7 @@ TEST(EchoActorsTest, DemiCatmintEcho) {
   DemiEchoClient client(&client_libos, Endpoint{sh.ip, kPort}, 64, 100);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   EXPECT_FALSE(client.failed());
-  EXPECT_EQ(server.echoed(), 100u);
+  EXPECT_EQ(server.served(), 100u);
 }
 
 TEST(EchoActorsTest, PosixEcho) {
@@ -77,7 +77,7 @@ TEST(EchoActorsTest, PosixEcho) {
   PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 100);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   EXPECT_EQ(client.completed(), 100u);
-  EXPECT_EQ(server.echoed(), 100u);
+  EXPECT_EQ(server.served(), 100u);
 }
 
 TEST(EchoActorsTest, MtcpEcho) {
@@ -93,7 +93,17 @@ TEST(EchoActorsTest, MtcpEcho) {
   PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 50);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   EXPECT_EQ(client.completed(), 50u);
-  EXPECT_EQ(server.echoed(), 50u);
+  EXPECT_EQ(server.served(), 50u);
+}
+
+TEST(EchoActorsTest, PosixClientReportsARefusedDial) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+  PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 10);  // no listener
+  ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 10 * kSecond));
+  EXPECT_TRUE(client.failed());
+  EXPECT_EQ(client.completed(), 0u);
 }
 
 TEST(EchoActorsTest, LatencyOrderingMatchesArchitectures) {
@@ -159,7 +169,7 @@ TEST(KvActorsTest, DemiKvGetSet) {
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
   EXPECT_FALSE(client.failed());
   EXPECT_EQ(client.completed(), 300u);
-  EXPECT_EQ(server.requests(), 300u);
+  EXPECT_EQ(server.served(), 300u);
 }
 
 TEST(KvActorsTest, PosixKvGetSet) {
@@ -177,7 +187,7 @@ TEST(KvActorsTest, PosixKvGetSet) {
   PosixKvClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, &workload, 300);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
   EXPECT_EQ(client.completed(), 300u);
-  EXPECT_EQ(server.stats().requests, 300u);
+  EXPECT_EQ(server.served(), 300u);
 }
 
 TEST(KvActorsTest, FragmentedClientCausesWastedScansOnPosixOnly) {
@@ -196,7 +206,7 @@ TEST(KvActorsTest, FragmentedClientCausesWastedScansOnPosixOnly) {
                        /*fragments=*/4, /*fragment_gap_ns=*/20 * kMicrosecond);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
   EXPECT_EQ(client.completed(), 20u);
-  EXPECT_GT(server.stats().incomplete_scans, 20u);  // several wasted scans per request
+  EXPECT_GT(server.incomplete_scans(), 20u);  // several wasted scans per request
 }
 
 TEST(KvActorsTest, DemiServerNeverSeesPartialRequests) {
@@ -214,7 +224,7 @@ TEST(KvActorsTest, DemiServerNeverSeesPartialRequests) {
   DemiKvClient client(&cl, Endpoint{sh.ip, kPort}, &workload, 50);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
   EXPECT_FALSE(client.failed());
-  EXPECT_EQ(server.requests(), 50u);
+  EXPECT_EQ(server.served(), 50u);
   // No stream scans anywhere on the Demikernel host.
   EXPECT_EQ(sh.cpu->counters().Get(Counter::kStreamScans), 0u);
 }
@@ -249,7 +259,7 @@ TEST(KvActorsTest, MultipleClientsShareOneServer) {
         return true;
       },
       600 * kSecond));
-  EXPECT_EQ(server.requests(), 400u);
+  EXPECT_EQ(server.served(), 400u);
   for (const auto& c : clients) {
     EXPECT_FALSE(c->failed());
   }
@@ -286,7 +296,7 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     DemiEchoServer server(&sl, kPort);
     DemiEchoClient client(&cl, Endpoint{sh.ip, kPort}, 64, 100);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{1145562, 100, 100, 304, 13600, 206, 11391, 11391}));
   }
   {
@@ -298,7 +308,7 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     DemiEchoServer server(&sl, kPort);
     DemiEchoClient client(&cl, Endpoint{sh.ip, kPort}, 64, 100);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{526280, 100, 100, 0, 0, 200, 3659, 3659}));
   }
   {
@@ -317,7 +327,7 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     }
     DemiKvClient client(&cl, Endpoint{sh.ip, kPort}, &workload, 200);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.requests()),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{2017284, 200, 200, 5, 0, 1006, 8319, 8358}));
   }
   {
@@ -327,7 +337,7 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     PosixEchoServer server(sh.kernel.get(), kPort, 64);
     PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 100);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{1216733, 100, 100, 409, 12800, 206, 12031, 12031}));
   }
   {
@@ -343,9 +353,9 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     PosixKvClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, &workload, 50,
                          /*fragments=*/4, /*fragment_gap_ns=*/20 * kMicrosecond);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 300 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.stats().requests),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{3770554, 50, 50, 659, 22760, 356, 75184, 75184}));
-    EXPECT_EQ(server.stats().incomplete_scans, 150u);
+    EXPECT_EQ(server.incomplete_scans(), 150u);
   }
   {
     TestHarness h;
@@ -359,7 +369,7 @@ TEST(ActorGoldenTest, ActorRunsAreBitDeterministic) {
     MtcpEchoServer server(&mtcp, kPort, 64);
     PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 100);
     ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
-    EXPECT_EQ(Snap(h, sh, client, server.echoed()),
+    EXPECT_EQ(Snap(h, sh, client, server.served()),
               (ActorSnapshot{2130393, 100, 100, 0, 12800, 206, 21247, 21247}));
   }
 }

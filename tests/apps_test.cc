@@ -49,36 +49,37 @@ TEST(RespTest, BuffersVariantSlicesWithoutCopy) {
 }
 
 TEST(RespTest, IncrementalParserHandlesSplitRequests) {
-  RespRequestParser parser;
   const std::string wire = EncodeRespCommand({"SET", "abc", "def"});
-  parser.Feed(wire.substr(0, 7));
-  auto r1 = parser.Next();
+  std::string stream = wire.substr(0, 7);
+  auto r1 = NextRespCommand(stream);
   ASSERT_TRUE(r1.ok());
-  EXPECT_FALSE(r1->has_value());
-  EXPECT_EQ(parser.incomplete_scans(), 1u);  // the wasted scan of §3.2
-  parser.Feed(wire.substr(7));
-  auto r2 = parser.Next();
+  EXPECT_FALSE(r1->has_value());  // the wasted scan of §3.2
+  EXPECT_EQ(stream, wire.substr(0, 7));
+  stream += wire.substr(7);
+  auto r2 = NextRespCommand(stream);
   ASSERT_TRUE(r2.ok());
   ASSERT_TRUE(r2->has_value());
   EXPECT_EQ(**r2, (RespCommand{"SET", "abc", "def"}));
+  EXPECT_TRUE(stream.empty());
 }
 
 TEST(RespTest, IncrementalParserPipelinedRequests) {
-  RespRequestParser parser;
-  parser.Feed(EncodeRespCommand({"PING"}) + EncodeRespCommand({"GET", "x"}));
-  auto r1 = parser.Next();
+  std::string stream = EncodeRespCommand({"PING"}) + EncodeRespCommand({"GET", "x"});
+  auto r1 = NextRespCommand(stream);
   ASSERT_TRUE(r1.ok() && r1->has_value());
   EXPECT_EQ(**r1, (RespCommand{"PING"}));
-  auto r2 = parser.Next();
+  auto r2 = NextRespCommand(stream);
   ASSERT_TRUE(r2.ok() && r2->has_value());
   EXPECT_EQ(**r2, (RespCommand{"GET", "x"}));
-  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  EXPECT_TRUE(stream.empty());
+  auto r3 = NextRespCommand(stream);
+  ASSERT_TRUE(r3.ok());
+  EXPECT_FALSE(r3->has_value());
 }
 
 TEST(RespTest, IncrementalParserRejectsGarbage) {
-  RespRequestParser parser;
-  parser.Feed("GARBAGE\r\n");
-  EXPECT_FALSE(parser.Next().ok());
+  std::string stream = "GARBAGE\r\n";
+  EXPECT_FALSE(NextRespCommand(stream).ok());
 }
 
 TEST(RespTest, ValueEncodings) {

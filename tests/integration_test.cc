@@ -215,9 +215,9 @@ TEST(FaultIntegrationTest, MixedLibosHostsShareOneFabric) {
   EXPECT_FALSE(c1.failed());
   EXPECT_FALSE(c2.failed());
   EXPECT_EQ(c3.completed(), 50u);
-  EXPECT_EQ(s1.echoed(), 50u);
-  EXPECT_EQ(s2.echoed(), 50u);
-  EXPECT_EQ(s3.echoed(), 50u);
+  EXPECT_EQ(s1.served(), 50u);
+  EXPECT_EQ(s2.served(), 50u);
+  EXPECT_EQ(s3.served(), 50u);
 }
 
 }  // namespace
