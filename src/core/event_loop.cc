@@ -9,7 +9,7 @@ DemiEventLoop::DemiEventLoop(LibOS* libos) : libos_(libos) {
 DemiEventLoop::~DemiEventLoop() {
   for (auto& [qd, watch] : watches_) {
     if (watch.token != kInvalidQToken) {
-      libos_->UnwatchToken(watch.token);
+      (void)libos_->CancelOp(watch.token);
     }
   }
   libos_->sim().RemovePoller(this);
@@ -69,7 +69,9 @@ void DemiEventLoop::Unwatch(QDesc qd) {
     return;
   }
   if (it->second.token != kInvalidQToken) {
-    libos_->UnwatchToken(it->second.token);
+    // Disarm, not just unwatch: a pop left armed would take the queue's next element
+    // for a token nobody reads.
+    (void)libos_->CancelOp(it->second.token);
   }
   watches_.erase(it);
 }

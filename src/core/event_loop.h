@@ -38,6 +38,11 @@ class DemiEventLoop final : public Poller, public CompletionWatcher {
 
   Status WatchAccept(QDesc listen_qd, AcceptHandler handler);
   Status WatchPop(QDesc qd, PopHandler handler);
+  // Stops watching `qd` and cancels its armed pop or accept (so does destroying the
+  // loop), leaving the queue's next element to the application; an element the armed
+  // pop already took is dropped. On queues that cannot cancel a pending op (Catmint,
+  // Catnip UDP, Catfish, the combinator queues) the token is abandoned instead, and
+  // it can still take one element.
   void Unwatch(QDesc qd);
 
   // One-shot deferred call after `delay` of simulated time (libevent's evtimer).

@@ -60,6 +60,15 @@ bool MemoryQueue::Progress(CompletionSink& sink) {
   return progress;
 }
 
+Status MemoryQueue::Cancel(QToken token) {
+  auto it = std::find(pending_pops_.begin(), pending_pops_.end(), token);
+  if (it == pending_pops_.end()) {
+    return NotFound("no pending pop");
+  }
+  pending_pops_.erase(it);
+  return OkStatus();
+}
+
 Status MemoryQueue::Close() {
   closed_ = true;
   return OkStatus();

@@ -28,6 +28,8 @@ class MemoryQueue final : public IoQueue {
   Status StartPush(QToken token, const SgArray& sga) override;
   Status StartPop(QToken token) override;
   bool Progress(CompletionSink& sink) override;
+  // Removes a pending pop; a push is done once started, so kNotFound.
+  Status Cancel(QToken token) override;
   Status Close() override;
 
   std::size_t depth() const { return elements_.size(); }

@@ -43,6 +43,27 @@ TEST(EventLoopTest, DoubleWatchRejected) {
             ErrorCode::kAlreadyExists);
 }
 
+TEST(EventLoopTest, UnwatchCancelsTheArmedPop) {
+  // A pop left armed by Unwatch would take the queue's next element for a token
+  // nobody reads.
+  TestHarness h;
+  auto& host = h.AddHost("a", "10.0.0.1");
+  auto& libos = h.Catnip(host);
+  DemiEventLoop loop(&libos);
+  const QDesc qd = *libos.QueueCreate();
+  int dispatched = 0;
+  ASSERT_TRUE(loop.WatchPop(qd, [&](QDesc, Result<SgArray>) { ++dispatched; }).ok());
+  EXPECT_EQ(libos.pending_ops(), 1u);
+  loop.Unwatch(qd);
+  EXPECT_EQ(libos.pending_ops(), 0u);
+  ASSERT_TRUE(libos.BlockingPush(qd, SgArray::FromString("mine"))->status.ok());
+  auto mine = libos.BlockingPop(qd, 10 * kMillisecond);
+  ASSERT_TRUE(mine.ok());
+  EXPECT_EQ(mine->sga.ToString(), "mine");
+  EXPECT_EQ(dispatched, 0);
+  EXPECT_EQ(libos.live_tokens(), 0u);
+}
+
 TEST(EventLoopTest, CallLaterFiresOnSimulatedClock) {
   TestHarness h;
   auto& host = h.AddHost("a", "10.0.0.1");
