@@ -106,6 +106,42 @@ TEST(EchoActorsTest, PosixClientReportsARefusedDial) {
   EXPECT_EQ(client.completed(), 0u);
 }
 
+TEST(EchoActorsTest, PosixServerClosesAConnectionAtEof) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+  PosixEchoServer server(sh.kernel.get(), kPort, 64);
+  PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 20);
+  ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+  ASSERT_FALSE(client.failed());
+  EXPECT_EQ(sh.kernel->net()->closed_unreaped(), 0u);
+  const std::uint64_t syscalls = sh.cpu->counters().Get(Counter::kSyscalls);
+  h.sim().RunFor(10 * kMillisecond);
+  // The client's FIN wakes the server: epoll_wait, the EOF read, epoll_ctl DEL, close.
+  EXPECT_EQ(sh.cpu->counters().Get(Counter::kSyscalls) - syscalls, 4u);
+  EXPECT_EQ(sh.kernel->net()->closed_unreaped(), 1u);
+}
+
+TEST(EchoActorsTest, MtcpServerClosesAConnectionAtEof) {
+  TestHarness h;
+  HostOptions server_opts;
+  server_opts.with_kernel = false;
+  auto& sh = h.AddHost("server", "10.0.0.1", server_opts);
+  auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+  MtcpConfig mcfg;
+  mcfg.ip = sh.ip;
+  MtcpStack mtcp(sh.cpu.get(), sh.nic.get(), mcfg);
+  MtcpEchoServer server(&mtcp, kPort, 64);
+  PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 20);
+  ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
+  ASSERT_FALSE(client.failed());
+  EXPECT_EQ(ch.kernel->net()->closed_unreaped(), 0u);
+  h.sim().RunFor(10 * kMillisecond);
+  // Only the server's close answers the client's FIN, so the client's side can reach
+  // CLOSED.
+  EXPECT_EQ(ch.kernel->net()->closed_unreaped(), 1u);
+}
+
 TEST(EchoActorsTest, LatencyOrderingMatchesArchitectures) {
   // The paper's core performance claims in one test:
   // catnip (kernel-bypass, zero copy) < posix (kernel) < mtcp (batched user stack).
