@@ -70,6 +70,8 @@ class DemiServer : public Poller {
  public:
   DemiServer(LibOS* libos, std::uint16_t port);
   ~DemiServer() override;
+  DemiServer(const DemiServer&) = delete;
+  DemiServer& operator=(const DemiServer&) = delete;
   bool Poll() override;
   // Requests whose reply push the libOS accepted.
   std::uint64_t served() const { return served_; }
@@ -97,6 +99,8 @@ class DemiClient : public ClosedLoopClient {
  public:
   DemiClient(LibOS* libos, Endpoint server, std::uint64_t target_requests);
   ~DemiClient() override;
+  DemiClient(const DemiClient&) = delete;
+  DemiClient& operator=(const DemiClient&) = delete;
   bool Poll() override;
 
  protected:
@@ -168,6 +172,8 @@ class PosixServer : public Poller {
  public:
   PosixServer(SimKernel* kernel, std::uint16_t port);
   ~PosixServer() override;
+  PosixServer(const PosixServer&) = delete;
+  PosixServer& operator=(const PosixServer&) = delete;
   bool Poll() override;
   std::uint64_t served() const { return served_; }
 
@@ -201,6 +207,8 @@ class PosixClient : public ClosedLoopClient {
   PosixClient(SimKernel* kernel, Endpoint server, std::uint64_t target_requests,
               int fragments = 1, TimeNs fragment_gap_ns = 0);
   ~PosixClient() override;
+  PosixClient(const PosixClient&) = delete;
+  PosixClient& operator=(const PosixClient&) = delete;
   bool Poll() override;
 
  protected:
