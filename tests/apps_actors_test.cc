@@ -265,6 +265,41 @@ TEST(KvActorsTest, DemiServerNeverSeesPartialRequests) {
   EXPECT_EQ(sh.cpu->counters().Get(Counter::kStreamScans), 0u);
 }
 
+TEST(KvActorsTest, MalformedRequestGetsAnErrorOnQueuesAndACloseOnStreams) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+  auto& sl = h.Catnip(sh);
+  auto& cl = h.Catnip(ch);
+  DemiKvServer demi_server(&sl, kPort);
+  PosixKvServer posix_server(sh.kernel.get(), kPort + 1);
+
+  // A queue element is one request, so a malformed one gets an error reply.
+  const QDesc qd = *cl.Socket();
+  ASSERT_TRUE(cl.Wait(*cl.ConnectAsync(qd, Endpoint{sh.ip, kPort}), kSecond)->status.ok());
+  ASSERT_TRUE(cl.BlockingPush(qd, SgArray::FromString("GARBAGE\r\n"), kSecond)->status.ok());
+  auto reply = cl.BlockingPop(qd, kSecond);
+  ASSERT_TRUE(reply.ok() && reply->status.ok());
+  EXPECT_EQ(reply->sga.ToString(), "-ERR protocol error\r\n");
+  EXPECT_EQ(demi_server.served(), 1u);
+
+  // A byte stream cannot resynchronize after garbage, so the server closes it.
+  SimKernel& kernel = *ch.kernel;
+  const int fd = *kernel.Socket();
+  ASSERT_TRUE(kernel.Connect(fd, Endpoint{sh.ip, kPort + 1}).ok());
+  ASSERT_TRUE(h.RunUntil([&] { return kernel.ConnectSucceeded(fd); }, kSecond));
+  ASSERT_TRUE(kernel.WriteSock(fd, Buffer::CopyOf("GARBAGE\r\n")).ok());
+  Result<Buffer> read = WouldBlock();
+  ASSERT_TRUE(h.RunUntil(
+      [&] {
+        read = kernel.ReadSock(fd, 64);
+        return read.code() != ErrorCode::kWouldBlock;
+      },
+      kSecond));
+  EXPECT_EQ(read.code(), ErrorCode::kEndOfFile);
+  EXPECT_EQ(posix_server.served(), 0u);
+}
+
 TEST(KvActorsTest, MultipleClientsShareOneServer) {
   TestHarness h;
   auto& sh = h.AddHost("server", "10.0.0.1");
