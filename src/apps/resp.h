@@ -7,8 +7,8 @@
 //     with partial requests, and every failed attempt on an incomplete buffer is the
 //     wasted work the paper attributes to the pipe abstraction (counted as
 //     kStreamScans);
-//   - ParseRequest(whole buffer): one-shot, for Demikernel atomic queue elements —
-//     by construction it only ever sees complete requests.
+//   - ParseRespCommand(whole buffer): one-shot, for Demikernel atomic queue
+//     elements — by construction it only ever sees complete requests.
 
 #ifndef SRC_APPS_RESP_H_
 #define SRC_APPS_RESP_H_
