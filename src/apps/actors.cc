@@ -244,7 +244,7 @@ bool PosixServer::Poll() {
     }
   }
 
-  // Stage partial writes in the outbox.
+  // Flush every outbox; what a socket does not take waits for the next poll.
   for (Conn& conn : conns_) {
     if (conn.dead) {
       continue;
