@@ -7,12 +7,20 @@
 // (the arrival-timer due time), so queueing anywhere in the pipeline — including the
 // client-side backlog — lands in the tail (no coordinated omission).
 //
+// The simulator's own footprint is reported beside the sweep: peak RSS, the ramp's
+// wall time and the RSS the ramp added per connection (both ends of every connection
+// live in this one process). Those are tool clocks, not simulated results, so they
+// sit in the JSON's "footprint" object, apart from the deterministic "config" and
+// "sweep".
+//
 // Environment:
 //   BENCH_SMOKE=1         10^4 connections and fewer sweep points (ctest smoke);
 //                         default is the full 10^6-connection sweep.
 //   BENCH_METRICS_DIR     where to drop bench_l1_openloop.metrics.json, the sweep
 //                         json (run_benches.sh assembles BENCH_openloop.json from
 //                         it).
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -33,8 +41,23 @@ double WallNs() {
                                  .count());
 }
 
+constexpr double kMiB = 1024.0 * 1024.0;
+
+// Peak resident set size of this process so far, in bytes (Linux reports KiB).
+double PeakRssBytes() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) * 1024;
+}
+
+struct Footprint {
+  double peak_rss_mb = 0;               // MiB, over the whole run
+  double ramp_wall_s = 0;
+  double rss_bytes_per_connection = 0;  // peak RSS the ramp added, per connection
+};
+
 std::string Json(const std::vector<SweepPoint>& sweep, const OpenLoopConfig& cfg,
-                 bool ramp_ok) {
+                 bool ramp_ok, const Footprint& footprint) {
   char buf[512];
   std::string j = "{\n  \"config\": {";
   std::snprintf(buf, sizeof(buf),
@@ -61,7 +84,12 @@ std::string Json(const std::vector<SweepPoint>& sweep, const OpenLoopConfig& cfg
         static_cast<unsigned long long>(p.latency.max));
     j += buf;
   }
-  j += "\n  ]\n}\n";
+  std::snprintf(buf, sizeof(buf),
+                "\n  ],\n  \"footprint\": {\"peak_rss_mb\": %.1f, \"ramp_wall_s\": %.2f, "
+                "\"rss_bytes_per_connection\": %.0f}\n}\n",
+                footprint.peak_rss_mb, footprint.ramp_wall_s,
+                footprint.rss_bytes_per_connection);
+  j += buf;
   return j;
 }
 
@@ -96,13 +124,21 @@ int Run() {
   std::printf("\nramping %zu connections over %zu client stacks x %zu server ports "
               "(batch %zu)...\n",
               cfg.connections, cfg.client_stacks, cfg.server_ports, cfg.ramp_batch);
+  const double rss_before_ramp = PeakRssBytes();
   const double ramp_t0 = WallNs();
   OpenLoopRunner runner(cfg);
   const bool ramp_ok = runner.Ramp();
-  std::printf("ramp: %s, %zu established / %llu accepted (%.1fs wall)\n\n",
+  Footprint footprint;
+  footprint.ramp_wall_s = (WallNs() - ramp_t0) / 1e9;
+  const double rss_after_ramp = PeakRssBytes();
+  footprint.rss_bytes_per_connection =
+      (rss_after_ramp - rss_before_ramp) / static_cast<double>(cfg.connections);
+  std::printf("ramp: %s, %zu established / %llu accepted (%.1fs wall, peak RSS %.0f MB, "
+              "%.0f B/connection)\n\n",
               ramp_ok ? "ok" : "FAILED", runner.established_connections(),
               static_cast<unsigned long long>(runner.accepted_connections()),
-              (WallNs() - ramp_t0) / 1e9);
+              footprint.ramp_wall_s, rss_after_ramp / kMiB,
+              footprint.rss_bytes_per_connection);
 
   std::vector<SweepPoint> sweep;
   bench::Row("%14s %14s %10s %10s %10s %10s %10s\n", "offered rps", "achieved rps",
@@ -120,8 +156,10 @@ int Run() {
     sweep.push_back(pt);
   }
   runner.StopLoad();
+  footprint.peak_rss_mb = PeakRssBytes() / kMiB;
+  std::printf("peak RSS over the run: %.0f MB\n\n", footprint.peak_rss_mb);
 
-  bench::WriteMetricsFile("bench_l1_openloop", Json(sweep, cfg, ramp_ok));
+  bench::WriteMetricsFile("bench_l1_openloop", Json(sweep, cfg, ramp_ok, footprint));
 
   // Shape checks. The first point must be comfortably under the knee and the last
   // comfortably past it; in between the curve must behave like an open-loop system:

@@ -22,7 +22,7 @@
 #                       "after" (current) section are written in one invocation —
 #                       sequential whole-tree runs are not comparable when
 #                       machine load drifts between them.
-#   BENCH_SMOKE=1       smoke mode for ctest: use an existing build's bench
+#   BENCH_SMOKE=1       smoke mode for CI: use an existing build's bench
 #                       binaries, run them once, and fail on any SHAPE-FAIL
 #                       verdict; writes no json. The benches run their smoke
 #                       shapes (l1: 10^4 connections instead of 10^6).
@@ -253,8 +253,10 @@ echo "wrote section(s) ${LABELS[*]} to $OUT"
 #   BENCH_controlpath.json  f2: fastcall-vs-syscall control-op pricing, one-crossing
 #                           AcceptBatch drains, and the adaptive scenario's policy-off
 #                           vs policy-on arms with tenant slot accounting;
-#   BENCH_openloop.json     l1: the 10^6-connection open-loop sweep (config and
-#                           per-rate achieved throughput and latency quantiles).
+#   BENCH_openloop.json     l1: the 10^6-connection open-loop sweep (config,
+#                           per-rate achieved throughput and latency quantiles, and
+#                           the simulator's footprint: peak RSS, ramp wall time, RSS
+#                           per connection).
 emit_metrics_section() {  # bench label -> json on stdout
   local bench=$1 label=$2 m
   m=$(cat "$TMP/metrics-$label/$bench.metrics.json" 2>/dev/null || echo '{}')

@@ -219,19 +219,19 @@ Status CatnipTcpQueue::StartPop(QToken token) {
 }
 
 Status CatnipTcpQueue::Cancel(QToken token) {
-  for (auto it = pending_pushes_.begin(); it != pending_pushes_.end(); ++it) {
-    if (it->token == token) {
-      if (it->started) {
+  for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
+    if (pending_pushes_[i].token == token) {
+      if (pending_pushes_[i].started) {
         // Dropping the unwritten tail would leave the peer a header without its body.
         return Unsupported("push partly written");
       }
-      pending_pushes_.erase(it);
+      pending_pushes_.erase(i);
       return OkStatus();
     }
   }
-  for (auto it = pending_pops_.begin(); it != pending_pops_.end(); ++it) {
-    if (*it == token) {
-      pending_pops_.erase(it);
+  for (std::size_t i = 0; i < pending_pops_.size(); ++i) {
+    if (pending_pops_[i] == token) {
+      pending_pops_.erase(i);
       return OkStatus();
     }
   }

@@ -39,6 +39,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/recovery.h"
 #include "src/hw/nic.h"
@@ -181,8 +182,8 @@ class CatnipTcpQueue final : public IoQueue {
   bool ready_hook_attached_ = false;  // conn_'s on_ready points at this queue
   FrameDecoder decoder_;
   Status stream_error_;
-  std::deque<PendingPush> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Fifo<PendingPush> pending_pushes_;
+  Fifo<QToken> pending_pops_;
   // The element a session listener decoded before handing this peer off.
   std::optional<SgArray> preloaded_;
 };

@@ -49,12 +49,12 @@
 #define SRC_LOAD_LOAD_DRIVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/hw/fabric.h"
@@ -190,8 +190,8 @@ class LoadDriver {
     bool slow = false;
     bool drain_scheduled = false;
     TimerId arrival = kInvalidTimer;
-    std::deque<Pending> pending;  // outstanding requests, oldest first
-    std::deque<Buffer> backlog;   // wire parts not yet accepted by the send buffer
+    Fifo<Pending> pending;  // outstanding requests, oldest first
+    Fifo<Buffer> backlog;   // wire parts not yet accepted by the send buffer
   };
 
   void OpenConnection(std::size_t i);

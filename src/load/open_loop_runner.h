@@ -17,11 +17,11 @@
 #define SRC_LOAD_OPEN_LOOP_RUNNER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/common/status.h"
 #include "src/hw/nic.h"
 #include "src/hw/tenant.h"
@@ -100,7 +100,7 @@ class OpenLoopRunner final : public LoadDriver, public Poller {
   struct SrvConn {
     std::size_t got = 0;  // bytes of the current request consumed so far
     std::uint8_t hdr[WorkloadModel::kHeaderBytes] = {};
-    std::deque<Buffer> backlog;  // responses awaiting send-buffer space
+    Fifo<Buffer> backlog;  // responses awaiting send-buffer space
   };
 
   void OnServerReady(TcpConnection* tc);

@@ -1,6 +1,6 @@
 // Unit tests for src/common: Status/Result, Buffer slicing & refcounts, RingBuffer
-// FIFO invariants, ObjectPool reuse, byte-order codecs, checksums, histograms, and the
-// deterministic random sources (including Zipf skew properties).
+// and Fifo invariants, ObjectPool reuse, byte-order codecs, checksums, histograms,
+// and the deterministic random sources (including Zipf skew properties).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "src/common/buffer.h"
 #include "src/common/byte_order.h"
 #include "src/common/checksum.h"
+#include "src/common/fifo.h"
 #include "src/common/histogram.h"
 #include "src/common/pool.h"
 #include "src/common/random.h"
@@ -167,6 +168,139 @@ TEST(RingBufferTest, FrontPeeksWithoutConsuming) {
   ASSERT_NE(r.Front(), nullptr);
   EXPECT_EQ(*r.Front(), "x");
   EXPECT_EQ(r.size(), 1u);
+}
+
+// --- Fifo ---
+
+// Pushes 0, 1, 2, ... until a ring of at least `min_capacity` slots is full.
+Fifo<int> FullRing(std::size_t min_capacity) {
+  Fifo<int> f;
+  int next = 0;
+  while (f.capacity() < min_capacity || f.size() < f.capacity()) {
+    f.push_back(next++);
+  }
+  return f;
+}
+
+TEST(FifoTest, FifoOrderThroughWraparoundAndGrowth) {
+  Fifo<int> f = FullRing(4);
+  const std::size_t cap = f.capacity();
+  int next_in = static_cast<int>(cap), next_out = 0;
+  // Pop half, then refill so the ring wraps and is full again.
+  for (std::size_t i = 0; i < cap / 2; ++i) {
+    ASSERT_EQ(f.front(), next_out++);
+    f.pop_front();
+  }
+  while (f.size() < cap) {
+    f.push_back(next_in++);
+  }
+  ASSERT_EQ(f.capacity(), cap);
+  // Growing a wrapped ring keeps the order.
+  f.push_back(next_in++);
+  EXPECT_EQ(f.capacity(), 2 * cap);
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(f[i], next_out + static_cast<int>(i));
+  }
+  // Many more laps through the grown ring.
+  for (int round = 0; round < 1000; ++round) {
+    f.push_back(next_in++);
+    ASSERT_EQ(f.front(), next_out++);
+    f.pop_front();
+  }
+  while (!f.empty()) {
+    ASSERT_EQ(f.front(), next_out++);
+    f.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(FifoTest, EraseAtFrontMiddleAndBack) {
+  Fifo<std::string> f;
+  for (const char* s : {"a", "b", "c", "d", "e"}) {
+    f.push_back(s);
+  }
+  f.erase(0);          // front
+  f.erase(1);          // middle: "c"
+  f.erase(2);          // back: "e"
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0], "b");
+  EXPECT_EQ(f[1], "d");
+  f.erase(1);
+  f.erase(0);
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.capacity(), 0u);
+}
+
+TEST(FifoTest, EraseInAWrappedRingKeepsOrder) {
+  Fifo<int> f = FullRing(4);
+  const int cap = static_cast<int>(f.capacity());
+  f.pop_front();
+  f.pop_front();
+  f.push_back(100);  // wraps to the ring's first slot
+  f.push_back(101);
+  f.erase(f.size() - 3);  // the last element before the wrap point
+  std::vector<int> got;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    got.push_back(f[i]);
+  }
+  std::vector<int> want;
+  for (int i = 2; i < cap - 1; ++i) {
+    want.push_back(i);
+  }
+  want.push_back(100);
+  want.push_back(101);
+  EXPECT_EQ(got, want);
+}
+
+TEST(FifoTest, MovedFromFifoIsEmpty) {
+  Fifo<int> a;
+  a.push_back(1);
+  a.push_back(2);
+  Fifo<int> b(std::move(a));
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.capacity(), 0u);
+  ASSERT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.front(), 1);
+
+  Fifo<int> c;
+  c.push_back(7);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.capacity(), 0u);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c[1], 2);
+}
+
+TEST(FifoTest, NewAndDrainedFifosHoldNoStorage) {
+  Fifo<int> f;
+  EXPECT_EQ(f.capacity(), 0u);
+  for (int i = 0; i < 100; ++i) {
+    f.push_back(i);
+  }
+  EXPECT_GE(f.capacity(), 100u);
+  while (!f.empty()) {
+    f.pop_front();
+  }
+  EXPECT_EQ(f.capacity(), 0u);
+  f.push_back(1);
+  f.clear();
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.capacity(), 0u);
+}
+
+TEST(FifoTest, PoppedBufferReleasesItsStorageAtOnce) {
+  Buffer held = Buffer::CopyOf("payload");
+  Fifo<Buffer> f;
+  f.push_back(held);
+  f.push_back(Buffer::CopyOf("next"));
+  EXPECT_EQ(held.use_count(), 2);
+  f.pop_front();  // not drained, so only destroying the element can drop the count
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(f.size(), 1u);
+
+  f.push_back(held);
+  f.erase(1);
+  EXPECT_EQ(held.use_count(), 1);
 }
 
 // --- ObjectPool ---
