@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,66 @@ void ExpectCloseReleasesAbandonedPush(LibOS& client, QDesc cqd) {
   ASSERT_TRUE(client.Close(cqd).ok());
   EXPECT_EQ(client.live_tokens(), tokens_before);
   EXPECT_EQ(client.pending_ops(), 0u);
+}
+
+// Connects a kernel socket on `peer_host` to `server`'s listener; returns
+// {server_conn_qd, peer_fd}. The peer writes raw bytes, so a test can put on the
+// stream what no libOS would send.
+std::pair<QDesc, int> ConnectKernelPeer(TestHarness& h, LibOS& server,
+                                        TestHarness::Host& peer_host,
+                                        Ipv4Address server_ip) {
+  const QDesc listen_qd = *server.Socket();
+  EXPECT_TRUE(server.Bind(listen_qd, kPort).ok());
+  EXPECT_TRUE(server.Listen(listen_qd).ok());
+  const QToken accept_token = *server.AcceptAsync(listen_qd);
+  SimKernel& kernel = *peer_host.kernel;
+  const int fd = *kernel.Socket();
+  EXPECT_TRUE(kernel.Connect(fd, Endpoint{server_ip, kPort}).ok());
+  EXPECT_TRUE(h.RunUntil([&] { return kernel.ConnectSucceeded(fd); },
+                         h.sim().now() + kSecond));
+  auto accepted = server.Wait(accept_token, kSecond);
+  EXPECT_TRUE(accepted.ok() && accepted->status.ok());
+  return {accepted->new_qd, fd};
+}
+
+// The peer sends a length prefix above kMaxFrameBody. The pending pop fails with
+// kProtocolError, and so does the next one: the bad length is off the stream, so no
+// frame boundary is left to resynchronize on.
+void ExpectOversizedLengthFailsPops(TestHarness& h, LibOS& server,
+                                    TestHarness::Host& peer_host, Ipv4Address server_ip) {
+  auto [sqd, fd] = ConnectKernelPeer(h, server, peer_host, server_ip);
+  const QToken pop = *server.Pop(sqd);
+  Buffer bogus = Buffer::Allocate(8);  // length 0xFFFFFFFF, then four body bytes
+  std::fill(bogus.mutable_span().begin(), bogus.mutable_span().end(), std::byte{0xFF});
+  auto written = peer_host.kernel->WriteSock(fd, bogus);
+  ASSERT_TRUE(written.ok() && *written == 8u);
+  auto first = server.Wait(pop, kSecond);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->status.code(), ErrorCode::kProtocolError) << first->status;
+  auto next = server.BlockingPop(sqd, kSecond);
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->status.code(), ErrorCode::kProtocolError) << next->status;
+  EXPECT_EQ(server.pending_ops(), 0u);
+}
+
+// The peer resets the connection while the server has two pops and two pushes
+// pending, the first push partly written (the peer never reads, so 1 MB cannot
+// leave). Every one of them fails with kConnectionReset.
+void ExpectPeerResetFailsPendingOps(TestHarness& h, LibOS& server,
+                                    TestHarness::Host& peer_host, Ipv4Address server_ip) {
+  auto [sqd, fd] = ConnectKernelPeer(h, server, peer_host, server_ip);
+  const std::vector<QToken> tokens = {*server.Pop(sqd), *server.Pop(sqd),
+                                      *server.Push(sqd, Sga(Pattern(1 << 20))),
+                                      *server.Push(sqd, Sga("behind it"))};
+  h.sim().RunFor(kMillisecond);
+  ASSERT_EQ(server.pending_ops(), tokens.size());
+  peer_host.kernel->SockConnection(fd)->Abort();
+  for (const QToken token : tokens) {
+    auto r = server.Wait(token, kSecond);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->status.code(), ErrorCode::kConnectionReset) << r->status;
+  }
+  EXPECT_EQ(server.pending_ops(), 0u);
 }
 
 // --- Catnip ---
@@ -359,6 +420,22 @@ TEST(CatnipTest, CloseReleasesAnAbandonedPartlyWrittenPush) {
   ExpectCloseReleasesAbandonedPush(client, cqd);
 }
 
+TEST(CatnipTest, OversizedLengthPrefixFailsPopsWithProtocolError) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  ExpectOversizedLengthFailsPops(h, server, ch, sh.ip);
+}
+
+TEST(CatnipTest, PeerResetFailsPendingPopsAndPushes) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  ExpectPeerResetFailsPendingOps(h, server, ch, sh.ip);
+}
+
 TEST(CatnipTest, UdpDatagramIsOneElement) {
   TestHarness h;
   auto& sh = h.AddHost("server", "10.0.0.1");
@@ -507,6 +584,22 @@ TEST(CatnapTest, CloseReleasesAnAbandonedPartlyWrittenPush) {
   auto& client = h.Catnap(ch);
   auto [sqd, cqd] = ConnectPair(h, server, client, sh.ip);
   ExpectCloseReleasesAbandonedPush(client, cqd);
+}
+
+TEST(CatnapTest, OversizedLengthPrefixFailsPopsWithProtocolError) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  ExpectOversizedLengthFailsPops(h, server, ch, sh.ip);
+}
+
+TEST(CatnapTest, PeerResetFailsPendingPopsAndPushes) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  ExpectPeerResetFailsPendingOps(h, server, ch, sh.ip);
 }
 
 // --- interop: same application protocol across libOSes (§5.2 framing) ---
