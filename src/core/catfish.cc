@@ -304,9 +304,6 @@ void CatfishFileQueue::WriteBlockOut(std::uint64_t index, PendingPush* push) {
 }
 
 Status CatfishFileQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed file queue");
-  }
   const std::size_t record_len = kRecordHeader + sga.total_bytes();
   if (meta_->used_bytes + record_len > meta_->extent_blocks * kBlock) {
     return ResourceExhausted("file extent full");
@@ -356,30 +353,12 @@ Status CatfishFileQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status CatfishFileQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed file queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
 }
 
-bool CatfishFileQueue::SupportsPushdownOffload() const {
-  return libos_->bdev().caps().program_offload;
-}
-
-Result<PushdownProgramId> CatfishFileQueue::InstallPushdownProgram(
-    const PushdownProgram& prog) {
-  if (closed_) {
-    return BadDescriptor("install on closed file queue");
-  }
-  return libos_->InstallPushdownProgram(prog);
-}
-
 Status CatfishFileQueue::StartPushdown(QToken token, PushdownProgramId program,
                                        std::uint64_t root_block, const SgArray& arg) {
-  if (closed_) {
-    return BadDescriptor("pushdown on closed file queue");
-  }
   if (root_block >= meta_->extent_blocks) {
     return InvalidArgument("pushdown root outside file extent");
   }
@@ -493,10 +472,6 @@ bool CatfishFileQueue::Progress(CompletionSink& sink) {
 }
 
 Status CatfishFileQueue::Close() {
-  if (closed_) {
-    return OkStatus();
-  }
-  closed_ = true;
   // Kill in-flight device continuations first: the libOS destroys this queue right
   // after Close() returns, so a completion landing later must find *alive_ false.
   *alive_ = false;

@@ -140,8 +140,6 @@ class CatfishFileQueue final : public IoQueue {
   Status Close() override;
 
   // --- push-down offload hooks (DESIGN.md §14) ---
-  bool SupportsPushdownOffload() const override;
-  Result<PushdownProgramId> InstallPushdownProgram(const PushdownProgram& prog) override;
   Status StartPushdown(QToken token, PushdownProgramId program, std::uint64_t root_block,
                        const SgArray& arg) override;
 
@@ -166,7 +164,6 @@ class CatfishFileQueue final : public IoQueue {
   CatfishLibOS* libos_;
   CatfishLibOS::FileMeta* meta_;
   std::shared_ptr<bool> alive_;  // guards device-completion continuations
-  bool closed_ = false;
   std::unordered_map<std::uint64_t, std::vector<std::byte>> block_cache_;
   std::unordered_map<std::uint64_t, bool> fetch_in_flight_;
   std::deque<std::unique_ptr<PendingPush>> pending_pushes_;

@@ -108,9 +108,6 @@ void CatmintQueue::ProvisionRecvBuffers() {
 }
 
 Status CatmintQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed queue");
-  }
   if (qp_ == nullptr) {
     return NotConnected("push before connect");
   }
@@ -122,9 +119,6 @@ Status CatmintQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status CatmintQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed queue");
-  }
   if (qp_ == nullptr) {
     return NotConnected("pop before connect");
   }
@@ -133,7 +127,7 @@ Status CatmintQueue::StartPop(QToken token) {
 }
 
 bool CatmintQueue::Progress(CompletionSink& sink) {
-  if (closed_ || qp_ == nullptr) {
+  if (qp_ == nullptr) {
     return false;
   }
   bool progress = false;
@@ -237,11 +231,6 @@ bool CatmintQueue::Progress(CompletionSink& sink) {
     }
   }
   return progress;
-}
-
-Status CatmintQueue::Close() {
-  closed_ = true;
-  return OkStatus();
 }
 
 }  // namespace demi

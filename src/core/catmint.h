@@ -63,7 +63,6 @@ class CatmintQueue final : public IoQueue {
   Result<std::unique_ptr<IoQueue>> TryAccept() override;
   Status StartConnect(Endpoint remote) override;
   Status ConnectStatus() override;
-  Status Close() override;
 
  private:
   std::string RendezvousAddr(std::uint16_t port) const;
@@ -76,12 +75,10 @@ class CatmintQueue final : public IoQueue {
   std::string listen_addr_;
   bool listening_ = false;
   bool provisioned_ = false;
-  bool closed_ = false;
   std::uint64_t next_recv_wr_ = 1;
   std::deque<std::pair<QToken, SgArray>> queued_pushes_;  // waiting for send-queue room
   std::deque<QToken> pending_pops_;
   std::deque<SgArray> received_;  // completed messages not yet claimed by a pop
-  std::deque<std::pair<QToken, QResult>> ready_;
 };
 
 }  // namespace demi

@@ -8,19 +8,23 @@
 // shows exactly this: Catnap ≈ baseline, Catnip/Catmint ≫ both.
 //
 // Queue elements travel over the kernel TCP byte stream with the same length-prefix
-// framing Catnip uses (§5.2), so Catnap and Catnip applications interoperate.
+// framing Catnip uses (§5.2), so Catnap and Catnip applications interoperate. The
+// framing, pending ops and Cancel are StreamQueue's, shared with plain Catnip; Catnap
+// keeps its control path (socket, bind, listen, batched accept, connect, close) and
+// its byte-stream steps: one write(2) of the element it copied at push time, and
+// read(2)s gated on socket readiness.
 
 #ifndef SRC_CORE_CATNAP_H_
 #define SRC_CORE_CATNAP_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
+#include "src/core/stream_queue.h"
 #include "src/kernel/kernel.h"
-#include "src/net/framing.h"
 
 namespace demi {
 
@@ -38,43 +42,34 @@ class CatnapLibOS final : public LibOS {
   SimKernel* kernel_;
 };
 
-class CatnapSocketQueue final : public IoQueue {
+// A kernel TCP socket as a Demikernel queue: StreamQueue frames the elements, and
+// every byte crosses the kernel boundary through read(2) and write(2) with a copy.
+class CatnapSocketQueue final : public StreamQueue {
  public:
-  CatnapSocketQueue(SimKernel* kernel, HostCpu* host, int fd)
-      : kernel_(kernel), host_(host), fd_(fd) {}
-
-  Status StartPush(QToken token, const SgArray& sga) override;
-  Status StartPop(QToken token) override;
-  bool Progress(CompletionSink& sink) override;
+  CatnapSocketQueue(SimKernel* kernel, int fd) : kernel_(kernel), fd_(fd) {}
 
   Status Bind(std::uint16_t port) override;
   Status Listen() override;
   Result<std::unique_ptr<IoQueue>> TryAccept() override;
   Status StartConnect(Endpoint remote) override;
   Status ConnectStatus() override;
-  Status Cancel(QToken token) override;
   Status Close() override;
 
  private:
-  struct PendingPush {
-    QToken token;
-    Buffer unwritten;      // the framed element's bytes not yet written
-    bool started = false;  // part of the frame is in the stream: not cancellable
-  };
+  bool HasStream() const override { return !listening_; }
+  std::vector<Buffer> Frame(const SgArray& sga) override;
+  Result<std::size_t> WriteSome(std::span<const Buffer> parts) override;
+  bool ReadAvailable(FrameDecoder& decoder) override;
+  Status ReadClosed(const Status& decode_error) override;
 
   SimKernel* kernel_;
-  HostCpu* host_;
   int fd_;
   bool listening_ = false;
-  bool closed_ = false;
   // Listener-side: fds drained by the last AcceptBatch crossing, handed out one per
   // TryAccept call so the idle-poll path pays one crossing per backlog, not per conn.
-  std::deque<int> accepted_fds_;
-  FrameDecoder decoder_;
+  Fifo<int> accepted_fds_;
   bool peer_eof_ = false;
-  Status stream_error_;
-  std::deque<PendingPush> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Status read_error_;
 };
 
 }  // namespace demi

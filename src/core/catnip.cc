@@ -104,9 +104,8 @@ CatnipTcpQueue::CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn)
 
 CatnipTcpQueue::CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn,
                                FrameDecoder decoder, SgArray first)
-    : CatnipTcpQueue(libos, conn) {
-  decoder_ = std::move(decoder);
-  preloaded_ = std::move(first);
+    : StreamQueue(std::move(decoder), std::move(first)), libos_(libos), conn_(conn) {
+  AttachReadyHook();
 }
 
 CatnipTcpQueue::~CatnipTcpQueue() {
@@ -125,7 +124,7 @@ void CatnipTcpQueue::AttachReadyHook() {
 }
 
 bool CatnipTcpQueue::Quiescent() const {
-  if (!pending_pushes_.empty() || preloaded_.has_value()) {
+  if (pending_pushes() > 0 || has_first()) {
     return false;
   }
   if (conn_ == nullptr) {
@@ -191,166 +190,71 @@ Status CatnipTcpQueue::ConnectStatus() {
   return WouldBlock();
 }
 
-Status CatnipTcpQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed queue");
-  }
-  libos_->MarkDirty(this);
-  if (conn_ == nullptr) {
-    return NotConnected("push before connect");
-  }
-  // Zero copy: the wire parts reference the application's sga segments. The TCP
-  // stack holds those references until acknowledged — free-protection does the rest
-  // (§4.5).
-  pending_pushes_.push_back(PendingPush{token, EncodeFrame(sga, &libos_->memory())});
-  return OkStatus();
-}
-
-Status CatnipTcpQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed queue");
-  }
-  libos_->MarkDirty(this);
-  if (conn_ == nullptr) {
-    return NotConnected("pop before connect");
-  }
-  pending_pops_.push_back(token);
-  return OkStatus();
-}
-
-Status CatnipTcpQueue::Cancel(QToken token) {
-  for (std::size_t i = 0; i < pending_pushes_.size(); ++i) {
-    if (pending_pushes_[i].token == token) {
-      if (pending_pushes_[i].started) {
-        // Dropping the unwritten tail would leave the peer a header without its body.
-        return Unsupported("push partly written");
-      }
-      pending_pushes_.erase(i);
-      return OkStatus();
-    }
-  }
-  for (std::size_t i = 0; i < pending_pops_.size(); ++i) {
-    if (pending_pops_[i] == token) {
-      pending_pops_.erase(i);
-      return OkStatus();
-    }
-  }
-  return NotFound("token not pending on this queue");
-}
-
-bool CatnipTcpQueue::Progress(CompletionSink& sink) {
-  if (closed_ || conn_ == nullptr) {
-    return false;
-  }
-  bool progress = false;
-
-  // A dead device or dead connection can never transmit again: fail pending pushes
-  // with a typed error instead of parking their tokens forever (§4.4).
-  const bool device_failed = libos_->stack().device_failed();
-  if ((device_failed || conn_->dead()) && !pending_pushes_.empty()) {
-    const Status err = device_failed ? DeviceFailed("nic is dead")
-                                     : ConnectionReset("connection reset");
-    while (!pending_pushes_.empty()) {
-      QResult res;
-      res.op = OpType::kPush;
-      res.status = err;
-      sink.CompleteOp(pending_pushes_.front().token, std::move(res));
-      pending_pushes_.pop_front();
-      progress = true;
-    }
-  }
-
-  // One gathered write per element: its length header and segments share TCP
-  // segments.
-  while (!pending_pushes_.empty() && conn_->established()) {
-    PendingPush& push = pending_pushes_.front();
-    auto written = conn_->Write(push.parts);
-    if (written.ok()) {
-      DropFront(push.parts, *written);
-      progress |= *written > 0;
-      push.started |= *written > 0;
-      if (!push.parts.empty()) {
-        break;  // send buffer full: the tail waits for ACKs
-      }
-    }
-    // The whole element is queued, or a hard error fails the push.
-    QResult res;
-    res.op = OpType::kPush;
-    res.status = written.status();
-    sink.CompleteOp(push.token, std::move(res));
-    pending_pushes_.pop_front();
-    progress = true;
-    if (!written.ok()) {
-      break;
-    }
-  }
-
-  if (!pending_pops_.empty() && preloaded_.has_value()) {
-    QResult res;
-    res.op = OpType::kPop;
-    res.sga = std::move(*preloaded_);
-    preloaded_.reset();
-    sink.CompleteOp(pending_pops_.front(), std::move(res));
-    pending_pops_.pop_front();
-    progress = true;
-  }
-
-  // Zero-copy receive: stream slices feed the frame decoder directly.
-  if (!pending_pops_.empty()) {
-    while (true) {
-      Buffer chunk = conn_->Recv(65536);
-      if (chunk.empty()) {
-        break;
-      }
-      decoder_.Feed(std::move(chunk));
-      progress = true;
-    }
-  }
-  while (!pending_pops_.empty()) {
-    auto decoded = decoder_.Next();
-    if (!decoded.ok()) {
-      stream_error_ = decoded.status();
-    }
-    if (decoded.ok() && decoded->has_value()) {
-      QResult res;
-      res.op = OpType::kPop;
-      res.sga = std::move(**decoded);
-      sink.CompleteOp(pending_pops_.front(), std::move(res));
-      pending_pops_.pop_front();
-      progress = true;
-      continue;
-    }
-    Status terminal;
-    if (device_failed) {
-      terminal = DeviceFailed("nic is dead");
-    } else if (!stream_error_.ok()) {
-      terminal = stream_error_;
-    } else if (conn_->reset()) {
-      terminal = ConnectionReset("peer reset");
-    } else if (conn_->recv_eof()) {
-      terminal = EndOfFile();
-    } else {
-      break;  // need more bytes
-    }
-    QResult res;
-    res.op = OpType::kPop;
-    res.status = terminal;
-    sink.CompleteOp(pending_pops_.front(), std::move(res));
-    pending_pops_.pop_front();
-    progress = true;
-  }
-  return progress;
-}
-
 Status CatnipTcpQueue::Close() {
-  if (closed_) {
-    return OkStatus();
-  }
-  closed_ = true;
   if (conn_ != nullptr) {
     conn_->Close();
   }
   return OkStatus();
+}
+
+Status CatnipTcpQueue::Admit(OpType op) {
+  libos_->MarkDirty(this);
+  if (conn_ == nullptr) {
+    return NotConnected(op == OpType::kPush ? "push before connect"
+                                            : "pop before connect");
+  }
+  return OkStatus();
+}
+
+std::vector<Buffer> CatnipTcpQueue::Frame(const SgArray& sga) {
+  // Zero copy: the wire parts reference the application's sga segments. The TCP
+  // stack holds those references until acknowledged — free-protection does the rest
+  // (§4.5).
+  return EncodeFrame(sga, &libos_->memory());
+}
+
+Status CatnipTcpQueue::WriteClosed() {
+  // A dead device or dead connection can never transmit again: pending pushes fail
+  // with a typed error instead of parking their tokens forever (§4.4).
+  if (libos_->stack().device_failed()) {
+    return DeviceFailed("nic is dead");
+  }
+  if (conn_->dead()) {
+    return ConnectionReset("connection reset");
+  }
+  return OkStatus();
+}
+
+Result<std::size_t> CatnipTcpQueue::WriteSome(std::span<const Buffer> parts) {
+  if (!conn_->established()) {
+    return std::size_t{0};  // still connecting, or the peer has closed its side
+  }
+  // One gathered write per element: its length header and segments share TCP
+  // segments.
+  return conn_->Write(parts);
+}
+
+bool CatnipTcpQueue::ReadAvailable(FrameDecoder& decoder) {
+  // Zero-copy receive: stream slices feed the frame decoder directly.
+  bool read = false;
+  for (Buffer chunk = conn_->Recv(65536); !chunk.empty(); chunk = conn_->Recv(65536)) {
+    decoder.Feed(std::move(chunk));
+    read = true;
+  }
+  return read;
+}
+
+Status CatnipTcpQueue::ReadClosed(const Status& decode_error) {
+  if (libos_->stack().device_failed()) {
+    return DeviceFailed("nic is dead");
+  }
+  if (!decode_error.ok()) {
+    return decode_error;
+  }
+  if (conn_->reset()) {
+    return ConnectionReset("peer reset");
+  }
+  return conn_->recv_eof() ? EndOfFile() : OkStatus();
 }
 
 // --- CatnipSessionQueue ---
@@ -440,9 +344,6 @@ Status CatnipSessionQueue::ConnectStatus() {
 }
 
 Status CatnipSessionQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed queue");
-  }
   libos_->MarkDirty(this);
   if (session_id_ == 0) {
     return NotConnected("push before connect");
@@ -462,9 +363,6 @@ Status CatnipSessionQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status CatnipSessionQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed queue");
-  }
   libos_->MarkDirty(this);
   if (session_id_ == 0) {
     return NotConnected("pop before connect");
@@ -811,9 +709,6 @@ void CatnipSessionQueue::GiveUp(Status cause) {
 // --- recovery: session data path ---
 
 bool CatnipSessionQueue::Progress(CompletionSink& /*sink*/) {
-  if (closed_) {
-    return false;
-  }
   if (listener_ != nullptr || kernel_listen_fd_ >= 0) {
     return ProgressListener();
   }
@@ -1153,10 +1048,10 @@ void CatnipSessionQueue::ArmKeepalive() {
   }
   keepalive_armed_ = true;
   // Deliberately NOT ScheduleGuarded: attempt epochs advance on every reconnect,
-  // but the keepalive guards the whole session. Only destruction or close kill it.
+  // but the keepalive guards the whole session. Only the queue's destruction kills it.
   std::weak_ptr<bool> alive = alive_;
   libos_->sim().Schedule(idle, [this, alive] {
-    if (alive.expired() || closed_) {
+    if (alive.expired()) {
       return;
     }
     keepalive_armed_ = false;
@@ -1192,7 +1087,7 @@ void CatnipSessionQueue::ScheduleGuarded(TimeNs delay, std::function<void()> fn)
   std::weak_ptr<bool> alive = alive_;
   const std::uint64_t epoch = attempt_epoch_;
   libos_->sim().Schedule(delay, [this, alive, epoch, fn = std::move(fn)] {
-    if (alive.expired() || closed_ || epoch != attempt_epoch_) {
+    if (alive.expired() || epoch != attempt_epoch_) {
       return;  // the queue is gone, or the state machine moved past this timer
     }
     fn();
@@ -1214,11 +1109,6 @@ TimeNs CatnipSessionQueue::OutageDeadline() const {
 }
 
 Status CatnipSessionQueue::Close() {
-  if (closed_) {
-    return OkStatus();
-  }
-  closed_ = true;
-  ++attempt_epoch_;
   if (kernel_listen_fd_ >= 0 && libos_->kernel() != nullptr) {
     (void)libos_->kernel()->CloseFd(kernel_listen_fd_);
     kernel_listen_fd_ = -1;
@@ -1233,10 +1123,6 @@ Status CatnipSessionQueue::Close() {
   }
   transport_.Reset();  // graceful close on whichever path is live
   ReleaseFastResources();
-  if (phase_ != Phase::kFailed) {
-    phase_ = Phase::kFailed;
-    stream_error_ = Cancelled("queue closed");
-  }
   return OkStatus();
 }
 
@@ -1275,9 +1161,6 @@ Status CatnipUdpQueue::StartConnect(Endpoint remote) {
 }
 
 Status CatnipUdpQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed queue");
-  }
   if (!has_remote_) {
     return NotConnected("udp push requires connect(remote)");
   }
@@ -1294,9 +1177,6 @@ Status CatnipUdpQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status CatnipUdpQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed queue");
-  }
   if (!bound_) {
     return NotConnected("udp pop requires bind");
   }
@@ -1375,10 +1255,6 @@ Status CatnipUdpQueue::InstallOffloadFilter(const ElementPredicate& pred) {
 }
 
 Status CatnipUdpQueue::Close() {
-  if (closed_) {
-    return OkStatus();
-  }
-  closed_ = true;
   if (bound_) {
     libos_->stack().UdpUnbind(bound_port_);
     bound_ = false;

@@ -17,6 +17,10 @@
 // TCP sockets take one of two data paths, each its own queue class, chosen once per
 // socket by CatnipLibOS::NewSocketQueue:
 //   - CatnipTcpQueue (plain): framed elements over one user-level TCP connection.
+//     The framing, pending ops and Cancel are StreamQueue's (src/core/stream_queue.h),
+//     shared with Catnap; the queue keeps its control path, the sparse-polling ready
+//     hook, and its byte-stream steps (a gathered zero-copy Write, Recv, and the dead
+//     NIC or connection that ends the stream).
 //   - CatnipSessionQueue (recovery mode, opt-in via CatnipConfig::recovery): a
 //     *session* that survives the death of the transport underneath it. Pushed
 //     elements carry a sequence number and are retained in a bounded replay log until
@@ -39,9 +43,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/recovery.h"
+#include "src/core/stream_queue.h"
 #include "src/hw/nic.h"
 #include "src/kernel/kernel.h"
 #include "src/net/framing.h"
@@ -135,9 +139,9 @@ class CatnipLibOS final : public LibOS {
   bool device_failure_marked_ = false;
 };
 
-// TCP socket queue on the plain data path: framed atomic units over the user-level
-// byte stream.
-class CatnipTcpQueue final : public IoQueue {
+// TCP socket queue on the plain data path: StreamQueue frames the elements over one
+// user-level TCP connection, zero copy both ways.
+class CatnipTcpQueue final : public StreamQueue {
  public:
   // `conn` is null for a fresh socket, or an accepted connection.
   CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn);
@@ -147,16 +151,11 @@ class CatnipTcpQueue final : public IoQueue {
                  SgArray first);
   ~CatnipTcpQueue() override;
 
-  Status StartPush(QToken token, const SgArray& sga) override;
-  Status StartPop(QToken token) override;
-  bool Progress(CompletionSink& sink) override;
-
   Status Bind(std::uint16_t port) override;
   Status Listen() override;
   Result<std::unique_ptr<IoQueue>> TryAccept() override;
   Status StartConnect(Endpoint remote) override;
   Status ConnectStatus() override;
-  Status Cancel(QToken token) override;
   Status Close() override;
   // Sparse polling: quiescent when the queue has no pending work and its connection
   // has no undelivered readiness — the connection's on-ready hook (AttachReadyHook)
@@ -164,11 +163,13 @@ class CatnipTcpQueue final : public IoQueue {
   bool Quiescent() const override;
 
  private:
-  struct PendingPush {
-    QToken token;
-    std::vector<Buffer> parts;  // unwritten wire parts
-    bool started = false;       // part of the frame is in the stream: not cancellable
-  };
+  Status Admit(OpType op) override;
+  bool HasStream() const override { return conn_ != nullptr; }
+  std::vector<Buffer> Frame(const SgArray& sga) override;
+  Status WriteClosed() override;
+  Result<std::size_t> WriteSome(std::span<const Buffer> parts) override;
+  bool ReadAvailable(FrameDecoder& decoder) override;
+  Status ReadClosed(const Status& decode_error) override;
 
   // Under sparse polling, wires conn_'s on-ready callback to MarkDirty and marks the
   // queue once; no-op under dense polling or without a connection.
@@ -178,14 +179,7 @@ class CatnipTcpQueue final : public IoQueue {
   TcpConnection* conn_ = nullptr;  // null until connect/accept
   TcpListener* listener_ = nullptr;
   std::uint16_t bound_port_ = 0;
-  bool closed_ = false;
   bool ready_hook_attached_ = false;  // conn_'s on_ready points at this queue
-  FrameDecoder decoder_;
-  Status stream_error_;
-  Fifo<PendingPush> pending_pushes_;
-  Fifo<QToken> pending_pops_;
-  // The element a session listener decoded before handing this peer off.
-  std::optional<SgArray> preloaded_;
 };
 
 // TCP socket queue in recovery mode: a session whose byte stream can migrate between
@@ -282,7 +276,6 @@ class CatnipSessionQueue final : public IoQueue {
   CatnipLibOS* libos_;
   TcpListener* listener_ = nullptr;
   std::uint16_t bound_port_ = 0;
-  bool closed_ = false;
   FrameDecoder decoder_;
   Status stream_error_;
   std::deque<QToken> pending_pops_;
@@ -352,7 +345,6 @@ class CatnipUdpQueue final : public IoQueue {
   CatnipLibOS* libos_;
   std::uint16_t bound_port_ = 0;
   bool bound_ = false;
-  bool closed_ = false;
   Endpoint remote_;
   bool has_remote_ = false;
   std::deque<std::pair<Endpoint, Buffer>> inbound_;

@@ -199,15 +199,20 @@ Result<QToken> LibOS::ConnectAsync(QDesc qd, Endpoint remote) {
 
 Status LibOS::Close(QDesc qd) {
   ChargeCall();
-  auto it = qtable_.find(qd);
-  if (it == qtable_.end()) {
+  auto node = qtable_.extract(qd);
+  if (node.empty()) {
     return BadDescriptor("close");
   }
-  const Status status = it->second->Close();
-  if (it->second->dirty_listed) {
-    std::erase(dirty_queues_, it->second.get());
+  // Out of the table first: an op that a completion delivered during Close() starts
+  // on this descriptor gets kBadDescriptor, so no queue needs a closed flag.
+  std::unique_ptr<IoQueue> queue = std::move(node.mapped());
+  const Status status = queue->Close();
+  // After Close(): closing a Catnip connection can fire its ready hook, which marks
+  // the queue dirty again.
+  if (queue->dirty_listed) {
+    std::erase(dirty_queues_, queue.get());
   }
-  qtable_.erase(it);
+  queue.reset();
   // Cancel splices touching this queue.
   std::erase_if(splices_, [qd](const Splice& s) { return s.in == qd || s.out == qd; });
   // Ops still pending on the descriptor can never complete now that the queue is
@@ -569,13 +574,6 @@ Status LibOS::WatchToken(QToken token, CompletionWatcher* watcher) {
   }
   slot->watcher = watcher;
   return OkStatus();
-}
-
-void LibOS::UnwatchToken(QToken token) {
-  OpSlot* slot = FindSlot(token);
-  if (slot != nullptr && slot->state == OpState::kPending) {
-    slot->watcher = nullptr;
-  }
 }
 
 SgArray LibOS::SgaAlloc(std::size_t bytes) {

@@ -137,9 +137,8 @@ class LibOS : public Poller, public CompletionSink {
 
   // Registers `watcher` for direct delivery when `token` completes; fires immediately
   // if the token already completed. kNotFound for unknown tokens. The watcher must
-  // outlive the token or call UnwatchToken first.
+  // outlive the token or cancel it first: CancelOp drops the watcher with the op.
   Status WatchToken(QToken token, CompletionWatcher* watcher);
-  void UnwatchToken(QToken token);
 
   // --- memory (§4.5) ---
 

@@ -64,9 +64,11 @@ class IoQueue {
   // queue is closed first.
   virtual Status Cancel(QToken token) { return Unsupported("cancel"); }
 
-  // Graceful close. The queue is destroyed right after; LibOS::Close then completes
-  // every operation still pending on it with kCancelled, so Close need not.
-  virtual Status Close() = 0;
+  // Graceful close, called once. LibOS::Close has already taken the queue out of its
+  // table, so no op can start on it any more; the queue is destroyed right after, and
+  // LibOS::Close then completes every operation still pending on it with kCancelled,
+  // so Close need not. The default suits a queue with nothing to release but memory.
+  virtual Status Close() { return OkStatus(); }
 
   // --- offload hooks (§4.3) ---
 
@@ -76,13 +78,6 @@ class IoQueue {
     return Unsupported("offload");
   }
 
-  // True when this queue can push traversal programs down to its storage device
-  // (BPF-for-storage-style dependent-read chasing, DESIGN.md §14).
-  virtual bool SupportsPushdownOffload() const { return false; }
-  // Installs a device-side traversal program for later StartPushdown calls.
-  virtual Result<PushdownProgramId> InstallPushdownProgram(const PushdownProgram& prog) {
-    return PushdownUnsupported("pushdown");
-  }
   // Registers a device-side chained read rooted at queue-relative block `root_block`;
   // the queue completes `token` (pop-like) with the program's final value as the
   // element. The whole chain is one host completion; a mid-chain device fault or an

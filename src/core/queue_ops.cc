@@ -1,6 +1,7 @@
 #include "src/core/queue_ops.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace demi {
 
@@ -10,6 +11,14 @@ QResult MakePopResult(SgArray sga) {
   QResult r;
   r.op = OpType::kPop;
   r.sga = std::move(sga);
+  return r;
+}
+
+// A pop the inner queue refused or failed fails the combinator's pop the same way.
+QResult MakePopFailure(Status status) {
+  QResult r;
+  r.op = OpType::kPop;
+  r.status = std::move(status);
   return r;
 }
 
@@ -25,18 +34,12 @@ QResult MakePushResult(Status status = OkStatus()) {
 // --- MemoryQueue ---
 
 Status MemoryQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed queue");
-  }
   elements_.push_back(sga);
   ready_.emplace_back(token, MakePushResult());
   return OkStatus();
 }
 
 Status MemoryQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
 }
@@ -69,24 +72,15 @@ Status MemoryQueue::Cancel(QToken token) {
   return OkStatus();
 }
 
-Status MemoryQueue::Close() {
-  closed_ = true;
-  return OkStatus();
-}
-
 // --- CombinatorQueue ---
-
-Status CombinatorQueue::Close() {
-  closed_ = true;
-  return OkStatus();
-}
 
 std::optional<QResult> CombinatorQueue::PumpInnerPop(QDesc qd, InnerPop& state) {
   if (state.token == kInvalidQToken) {
     auto token = libos_->Pop(qd);
-    if (token.ok()) {
-      state.token = *token;
+    if (!token.ok()) {
+      return MakePopFailure(token.status());  // e.g. the inner queue was closed
     }
+    state.token = *token;
     return std::nullopt;
   }
   if (!libos_->OpDone(state.token)) {
@@ -95,7 +89,7 @@ std::optional<QResult> CombinatorQueue::PumpInnerPop(QDesc qd, InnerPop& state) 
   auto r = libos_->TakeResultInternal(state.token);
   state.token = kInvalidQToken;
   if (!r.ok()) {
-    return std::nullopt;
+    return MakePopFailure(r.status());
   }
   return std::move(*r);
 }
@@ -103,9 +97,6 @@ std::optional<QResult> CombinatorQueue::PumpInnerPop(QDesc qd, InnerPop& state) 
 // --- MergeQueue ---
 
 Status MergeQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed merge queue");
-  }
   auto a = libos_->Push(inner_, sga);
   RETURN_IF_ERROR(a.status());
   auto b = libos_->Push(inner2_, sga);
@@ -115,11 +106,24 @@ Status MergeQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status MergeQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed merge queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
+}
+
+bool MergeQueue::PumpInner(QDesc qd, InnerPop& state, Status& error) {
+  if (!error.ok()) {
+    return false;
+  }
+  auto r = PumpInnerPop(qd, state);
+  if (!r) {
+    return false;
+  }
+  if (!r->status.ok()) {
+    error = std::move(r->status);
+    return false;
+  }
+  buffered_.push_back(std::move(r->sga));
+  return true;
 }
 
 bool MergeQueue::Progress(CompletionSink& sink) {
@@ -127,20 +131,22 @@ bool MergeQueue::Progress(CompletionSink& sink) {
   // Keep pops outstanding on both inner queues only while users are waiting (or data
   // is buffered below the user's demand) so we do not starve direct inner users.
   if (!pending_pops_.empty()) {
-    if (auto r = PumpInnerPop(inner_, pop1_); r && r->status.ok()) {
-      buffered_.push_back(std::move(r->sga));
-      progress = true;
-    }
-    if (auto r = PumpInnerPop(inner2_, pop2_); r && r->status.ok()) {
-      buffered_.push_back(std::move(r->sga));
-      progress = true;
-    }
+    progress |= PumpInner(inner_, pop1_, error1_);
+    progress |= PumpInner(inner2_, pop2_, error2_);
   }
   while (!pending_pops_.empty() && !buffered_.empty()) {
     sink.CompleteOp(pending_pops_.front(), MakePopResult(std::move(buffered_.front())));
     pending_pops_.pop_front();
     buffered_.pop_front();
     progress = true;
+  }
+  // Once both inner queues have failed, no element can come any more.
+  if (!error1_.ok() && !error2_.ok()) {
+    while (!pending_pops_.empty()) {
+      sink.CompleteOp(pending_pops_.front(), MakePopFailure(error1_));
+      pending_pops_.pop_front();
+      progress = true;
+    }
   }
   for (auto it = pushes_.begin(); it != pushes_.end();) {
     if (libos_->OpDone(it->a) && libos_->OpDone(it->b)) {
@@ -165,9 +171,6 @@ bool MergeQueue::Progress(CompletionSink& sink) {
 // --- FilterQueue ---
 
 Status FilterQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed filter queue");
-  }
   if (!offloaded_) {
     libos_->host().Work(pred_.host_cost_ns);
   }
@@ -183,9 +186,6 @@ Status FilterQueue::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status FilterQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed filter queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
 }
@@ -198,7 +198,11 @@ bool FilterQueue::Progress(CompletionSink& sink) {
     progress = true;
   }
   if (!pending_pops_.empty()) {
-    if (auto r = PumpInnerPop(inner_, pop_); r && r->status.ok()) {
+    if (auto r = PumpInnerPop(inner_, pop_); r && !r->status.ok()) {
+      sink.CompleteOp(pending_pops_.front(), MakePopFailure(std::move(r->status)));
+      pending_pops_.pop_front();
+      progress = true;
+    } else if (r) {
       progress = true;
       bool pass = true;
       if (!offloaded_) {
@@ -245,18 +249,12 @@ void SortQueue::InsertSorted(SgArray sga) {
 }
 
 Status SortQueue::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed sort queue");
-  }
   InsertSorted(sga);
   ready_.emplace_back(token, MakePushResult());
   return OkStatus();
 }
 
 Status SortQueue::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed sort queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
 }
@@ -273,6 +271,8 @@ bool SortQueue::Progress(CompletionSink& sink) {
     if (auto r = PumpInnerPop(inner_, pop_); r && r->status.ok()) {
       InsertSorted(std::move(r->sga));
       progress = true;
+    } else if (r) {
+      inner_error_ = std::move(r->status);
     }
   }
   while (!pending_pops_.empty() && !buffered_.empty()) {
@@ -282,15 +282,19 @@ bool SortQueue::Progress(CompletionSink& sink) {
     pending_pops_.pop_front();
     progress = true;
   }
+  // An inner failure fails the oldest pop that nothing buffered could serve.
+  if (!pending_pops_.empty() && !inner_error_.ok()) {
+    sink.CompleteOp(pending_pops_.front(),
+                    MakePopFailure(std::exchange(inner_error_, OkStatus())));
+    pending_pops_.pop_front();
+    progress = true;
+  }
   return progress;
 }
 
 // --- MapQueueImpl ---
 
 Status MapQueueImpl::StartPush(QToken token, const SgArray& sga) {
-  if (closed_) {
-    return BadDescriptor("push on closed map queue");
-  }
   libos_->host().Work(transform_.host_cost_ns);
   auto inner_token = libos_->Push(inner_, transform_.fn(sga));
   RETURN_IF_ERROR(inner_token.status());
@@ -299,9 +303,6 @@ Status MapQueueImpl::StartPush(QToken token, const SgArray& sga) {
 }
 
 Status MapQueueImpl::StartPop(QToken token) {
-  if (closed_) {
-    return BadDescriptor("pop on closed map queue");
-  }
   pending_pops_.push_back(token);
   return OkStatus();
 }
@@ -309,9 +310,13 @@ Status MapQueueImpl::StartPop(QToken token) {
 bool MapQueueImpl::Progress(CompletionSink& sink) {
   bool progress = false;
   if (!pending_pops_.empty()) {
-    if (auto r = PumpInnerPop(inner_, pop_); r && r->status.ok()) {
-      libos_->host().Work(transform_.host_cost_ns);
-      sink.CompleteOp(pending_pops_.front(), MakePopResult(transform_.fn(r->sga)));
+    if (auto r = PumpInnerPop(inner_, pop_)) {
+      if (r->status.ok()) {
+        libos_->host().Work(transform_.host_cost_ns);
+        sink.CompleteOp(pending_pops_.front(), MakePopResult(transform_.fn(r->sga)));
+      } else {
+        sink.CompleteOp(pending_pops_.front(), MakePopFailure(std::move(r->status)));
+      }
       pending_pops_.pop_front();
       progress = true;
     }

@@ -30,13 +30,11 @@ class MemoryQueue final : public IoQueue {
   bool Progress(CompletionSink& sink) override;
   // Removes a pending pop; a push is done once started, so kNotFound.
   Status Cancel(QToken token) override;
-  Status Close() override;
 
   std::size_t depth() const { return elements_.size(); }
 
  private:
   HostCpu* host_;
-  bool closed_ = false;
   std::deque<SgArray> elements_;
   std::deque<QToken> pending_pops_;
   std::deque<std::pair<QToken, QResult>> ready_;  // completions to flush
@@ -46,11 +44,12 @@ class MemoryQueue final : public IoQueue {
 class CombinatorQueue : public IoQueue {
  public:
   CombinatorQueue(LibOS* libos, QDesc inner) : libos_(libos), inner_(inner) {}
-  Status Close() override;
 
  protected:
   // Ensures one internal pop is outstanding on `qd`; returns the completed result if
-  // one arrived (consuming the token).
+  // one arrived (consuming the token). A pop the inner queue refuses (it was closed,
+  // say) or fails comes back as a result carrying the error: the combinator fails
+  // its own oldest pending pop with it, after serving anything it has buffered.
   struct InnerPop {
     QToken token = kInvalidQToken;
   };
@@ -58,11 +57,11 @@ class CombinatorQueue : public IoQueue {
 
   LibOS* libos_;
   QDesc inner_;
-  bool closed_ = false;
 };
 
 // merge(q1, q2): pops surface elements from either inner queue (arrival order);
-// pushes go to both.
+// pushes go to both. An inner queue whose pop fails is not popped again; once both
+// have failed, every pending pop fails with the first queue's error.
 class MergeQueue final : public CombinatorQueue {
  public:
   MergeQueue(LibOS* libos, QDesc inner1, QDesc inner2)
@@ -73,11 +72,14 @@ class MergeQueue final : public CombinatorQueue {
   bool Progress(CompletionSink& sink) override;
 
  private:
+  // Pumps one inner queue unless it has failed; true when an element arrived.
+  bool PumpInner(QDesc qd, InnerPop& state, Status& error);
+
   QDesc inner2_;
   InnerPop pop1_, pop2_;
+  Status error1_, error2_;  // why each inner queue's pop failed; OK while it works
   std::deque<SgArray> buffered_;
   std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
   // Outstanding double-pushes: user token -> the two inner push tokens.
   struct DualPush {
     QToken user;
@@ -133,6 +135,8 @@ class SortQueue final : public CombinatorQueue {
   ElementComparator cmp_;
   InnerPop pop_;
   std::vector<SgArray> buffered_;  // kept sorted, highest priority at the back
+  // An inner pop's failure, held for the next pop that nothing buffered serves.
+  Status inner_error_;
   std::deque<QToken> pending_pops_;
   std::deque<std::pair<QToken, QResult>> ready_;
 };
@@ -151,7 +155,6 @@ class MapQueueImpl final : public CombinatorQueue {
   ElementTransform transform_;
   InnerPop pop_;
   std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
   struct ForwardPush {
     QToken user;
     QToken inner_token;

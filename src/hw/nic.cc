@@ -360,11 +360,6 @@ std::size_t SimNic::RxPending(int queue) const {
   return queues_[queue].rx.size();
 }
 
-std::size_t SimNic::TxSpace(int queue) const {
-  DEMI_CHECK(queue >= 0 && queue < config_.num_queues);
-  return config_.ring_size - queues_[queue].tx_in_flight;
-}
-
 Status SimNic::InstallRxProgram(int queue, NicProgram program) {
   DEMI_CHECK(queue >= 0 && queue < config_.num_queues);
   if (!config_.supports_offload) {

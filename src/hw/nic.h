@@ -96,7 +96,6 @@ class SimNic {
   std::size_t PollRxBurst(int queue, std::vector<Buffer>& out, std::size_t max);
 
   std::size_t RxPending(int queue) const;
-  std::size_t TxSpace(int queue) const;
 
   // Installs a per-packet program on the RX path of `queue`. Requires
   // config().supports_offload; charges the control-path setup cost.

@@ -145,12 +145,4 @@ std::uint64_t TenantRegistry::total_capability_violations() const {
   return n;
 }
 
-std::uint64_t TenantRegistry::total_doorbells_throttled() const {
-  std::uint64_t n = 0;
-  for (const Slot_& slot : tenants_) {
-    n += slot.stats.doorbells_throttled;
-  }
-  return n;
-}
-
 }  // namespace demi

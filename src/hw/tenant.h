@@ -191,7 +191,6 @@ class TenantRegistry {
 
   // Cross-tenant totals (conservation invariants in the chaos suite).
   std::uint64_t total_capability_violations() const;
-  std::uint64_t total_doorbells_throttled() const;
 
  private:
   // A frame payload's wire life is short; RX grants are kept in two generations and

@@ -254,11 +254,4 @@ void WriteEthIpv4Headers(std::span<std::byte> hdr, MacAddress src_mac, MacAddres
   WriteIpv4Header(hdr.subspan(kEthHeaderSize), ip_full);
 }
 
-Buffer BuildArpFrame(MacAddress src_mac, MacAddress dst_mac, const ArpPacket& arp) {
-  Buffer frame = Buffer::Allocate(kEthHeaderSize + kArpPacketSize);
-  WriteEthHeader(frame.mutable_span(), EthHeader{dst_mac, src_mac, kEtherTypeArp});
-  WriteArpPacket(frame.mutable_span().subspan(kEthHeaderSize), arp);
-  return frame;
-}
-
 }  // namespace demi

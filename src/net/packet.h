@@ -133,9 +133,6 @@ Buffer BuildIpv4Frame(MacAddress src_mac, MacAddress dst_mac, const Ipv4Header& 
 void WriteEthIpv4Headers(std::span<std::byte> hdr, MacAddress src_mac, MacAddress dst_mac,
                          const Ipv4Header& ip, std::size_t l4_size);
 
-// Builds an Ethernet ARP frame.
-Buffer BuildArpFrame(MacAddress src_mac, MacAddress dst_mac, const ArpPacket& arp);
-
 }  // namespace demi
 
 #endif  // SRC_NET_PACKET_H_

@@ -46,8 +46,6 @@ FaultDeviceId FaultInjector::Register(std::string name, FaultHandler handler) {
   return static_cast<FaultDeviceId>(devices_.size() - 1);
 }
 
-void FaultInjector::Reseed(std::uint64_t seed) { rng_ = Rng(seed); }
-
 FaultInjector::Device& FaultInjector::Dev(FaultDeviceId dev) {
   DEMI_CHECK(dev < devices_.size());
   return devices_[dev];
@@ -230,7 +228,5 @@ void FaultInjector::SetOpFaultRate(FaultDeviceId dev, FaultKind kind, double rat
     rates.emplace_back(kind, rate);
   }
 }
-
-const std::string& FaultInjector::device_name(FaultDeviceId dev) const { return Dev(dev).name; }
 
 }  // namespace demi

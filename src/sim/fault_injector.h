@@ -74,9 +74,6 @@ class FaultInjector {
   // Registers a device (NIC, RDMA NIC, block device) and its fault handler.
   FaultDeviceId Register(std::string name, FaultHandler handler = nullptr);
 
-  // Re-arms the rate Rng; clears nothing else. Call before a run for replayability.
-  void Reseed(std::uint64_t seed);
-
   // ---- Pull-side state queries (cheap; devices call these on every operation) ----
   bool link_up(FaultDeviceId dev) const;
   bool device_failed(FaultDeviceId dev) const;
@@ -117,7 +114,6 @@ class FaultInjector {
   // in the order the rates were set). Rate 0 removes the entry.
   void SetOpFaultRate(FaultDeviceId dev, FaultKind kind, double rate);
 
-  const std::string& device_name(FaultDeviceId dev) const;
   std::size_t num_devices() const { return devices_.size(); }
   std::uint64_t faults_fired() const { return faults_fired_; }
 

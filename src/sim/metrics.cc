@@ -262,11 +262,6 @@ Histogram* MetricsRegistry::NamedHistogram(std::string_view name) {
   return &it->second;
 }
 
-const Histogram* MetricsRegistry::named(std::string_view name) const {
-  auto it = named_.find(name);
-  return it == named_.end() ? nullptr : &it->second;
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot(const Counters& counters, TimeNs now) const {
   MetricsSnapshot snap;
   snap.taken_at = now;

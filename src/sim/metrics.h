@@ -190,7 +190,6 @@ class MetricsRegistry {
     return sim_stats_[static_cast<std::size_t>(stat)];
   }
   const Histogram* op_latency(std::string_view libos, OpKind op) const;
-  const Histogram* named(std::string_view name) const;
   const TraceRing& trace() const { return trace_; }
 
   // Captures everything, pairing the registry's histograms/trace with the

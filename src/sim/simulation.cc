@@ -23,12 +23,6 @@ MetricsRegistry& Simulation::metrics(int core) {
   return *Core(core).metrics;
 }
 
-void Simulation::SetMetricsEnabled(bool enabled) {
-  for (CoreCtx& ctx : cores_) {
-    ctx.metrics->set_enabled(enabled);
-  }
-}
-
 MetricsSnapshot Simulation::MergedSnapshot() {
   MetricsSnapshot snap = cores_[0].metrics->Snapshot(counters_, now_);
   // Counters are simulation-global and appear exactly once (from the snapshot
@@ -39,12 +33,6 @@ MetricsSnapshot Simulation::MergedSnapshot() {
   std::stable_sort(snap.trace.begin(), snap.trace.end(),
                    [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
   return snap;
-}
-
-TimeNs Simulation::core_busy_until(int core) const {
-  DEMI_CHECK(core >= 0 && core < num_cores());
-  // Core 0 runs on the global clock itself.
-  return core == 0 ? now_ : cores_[static_cast<std::size_t>(core)].busy_until;
 }
 
 int Simulation::SetHomeCore(int core) {
@@ -61,10 +49,6 @@ TimerId Simulation::Schedule(TimeNs delay, std::function<void()> fn) {
 TimerId Simulation::ScheduleAt(TimeNs when, std::function<void()> fn) {
   const int core = current_core_ != 0 ? current_core_ : home_core_;
   return ScheduleAtOn(core, when, std::move(fn));
-}
-
-TimerId Simulation::ScheduleOn(int core, TimeNs delay, std::function<void()> fn) {
-  return ScheduleAtOn(core, now_ + std::max<TimeNs>(delay, 0), std::move(fn));
 }
 
 TimerId Simulation::ScheduleAtOn(int core, TimeNs when, std::function<void()> fn) {

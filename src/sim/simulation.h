@@ -72,18 +72,15 @@ class Simulation {
   // One export view: core 0's snapshot (with the global counters) plus every other
   // core's histograms/trace merged in bucket-wise.
   MetricsSnapshot MergedSnapshot();
-  void SetMetricsEnabled(bool enabled);
 
   // --- multi-core execution contexts ---
 
-  // Declares `n` cores (including core 0). Call once, before any ScheduleOn /
+  // Declares `n` cores (including core 0). Call once, before any ScheduleAtOn /
   // AddPollerOn targeting cores > 0. Idempotent growth: a larger n adds cores.
   void ConfigureCores(int n);
   int num_cores() const { return static_cast<int>(cores_.size()); }
   // The core whose bubble is executing; 0 outside any bubble.
   int current_core() const { return current_core_; }
-  // How far ahead of the global clock core `c`'s serial work has run.
-  TimeNs core_busy_until(int core) const;
   // Construction-time default core for AddPoller/Schedule issued outside any
   // bubble (e.g. a worker libOS constructor registering its pollers). Returns the
   // previous value so scoped setters can restore it.
@@ -95,8 +92,7 @@ class Simulation {
   // the home core (default 0).
   TimerId Schedule(TimeNs delay, std::function<void()> fn);
   TimerId ScheduleAt(TimeNs when, std::function<void()> fn);
-  // Explicit-core forms, for cross-core messages (e.g. a steal notification).
-  TimerId ScheduleOn(int core, TimeNs delay, std::function<void()> fn);
+  // Explicit-core form, for cross-core messages (e.g. a steal notification).
   TimerId ScheduleAtOn(int core, TimeNs when, std::function<void()> fn);
   void Cancel(TimerId id);
 

@@ -1,8 +1,9 @@
-// Heap footprint of plain Catnip sockets. Plain queues carry only the plain data
-// path's state; a recovery session's replay log, transport and listener state live
-// in CatnipSessionQueue. Per-connection queues are Fifos, which hold no storage while
-// empty. This binary replaces the global operator new and delete to count the heap
-// blocks a LibOS::Socket() call allocates and the blocks an idle connection keeps.
+// Heap footprint of plain Catnip and Catnap sockets. Plain queues carry only the
+// plain data path's state; a recovery session's replay log, transport and listener
+// state live in CatnipSessionQueue. Per-connection queues are Fifos, which hold no
+// storage while empty. This binary replaces the global operator new and delete to
+// count the heap blocks a LibOS::Socket() call allocates and the blocks an idle
+// connection keeps.
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,42 @@ TEST(CatnipFootprintTest, IdleEstablishedConnectionHoldsNoQueueStorage) {
   ASSERT_TRUE(server.Listen(listen_qd).ok());
   // A first connection sizes every shared table (qtables, flow tables, pools,
   // histograms, the event heap), so the second one is measured alone.
+  ConnectEchoAndIdle(h, server, listen_qd, client, sh.ip);
+
+  const std::size_t before = LiveBlocks();
+  ConnectEchoAndIdle(h, server, listen_qd, client, sh.ip);
+  const std::size_t held = LiveBlocks() - before;
+  EXPECT_LE(held, 7u) << "blocks one idle connection holds, both ends together";
+}
+
+// A Catnap socket is the queue object, its qtable entry and the kernel's fd entry.
+// Its decoder, pending pushes and pops and batched-accept fds are Fifos and allocate
+// nothing while empty (as std::deques, three of them added a map and a node each).
+TEST(CatnapFootprintTest, SocketAllocatesNoQueueStorage) {
+  TestHarness h;
+  auto& host = h.AddHost("server", "10.0.0.1");
+  auto& libos = h.Catnap(host);
+  ASSERT_TRUE(libos.Socket().ok());  // the first socket also sizes the tables
+
+  const std::size_t before = g_allocations;
+  auto qd = libos.Socket();
+  const std::size_t allocations = g_allocations - before;
+  ASSERT_TRUE(qd.ok());
+  EXPECT_LE(allocations, 3u);
+}
+
+// An idle Catnap connection keeps, on each end, its queue object, qtable entry, the
+// kernel's fd entry and TcpConnection, less what the first connection already sized:
+// 7 blocks for both ends. Empty std::deques in the two queues held 12 more.
+TEST(CatnapFootprintTest, IdleEstablishedConnectionHoldsNoQueueStorage) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  auto& client = h.Catnap(ch);
+  const QDesc listen_qd = *server.Socket();
+  ASSERT_TRUE(server.Bind(listen_qd, kPort).ok());
+  ASSERT_TRUE(server.Listen(listen_qd).ok());
   ConnectEchoAndIdle(h, server, listen_qd, client, sh.ip);
 
   const std::size_t before = LiveBlocks();

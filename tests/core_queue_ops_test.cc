@@ -350,6 +350,88 @@ TEST(MapTest, TransformsOnPopAndPush) {
   EXPECT_EQ(rig.libos.BlockingPop(mapped)->sga.ToString(), "WORLD");
 }
 
+// --- combinators over an inner queue that fails ---
+//
+// Closing the inner queue cancels the combinator's internal pop there (kCancelled);
+// later internal pops find no queue (kBadDescriptor). Either way the combinator's
+// own pending pop must complete with the error, not wait forever.
+
+// Expects `token` to complete with `code`, and nothing left pending.
+void ExpectPopFails(PureRig& rig, QToken token, ErrorCode code) {
+  auto r = rig.libos.Wait(token, kMillisecond);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->op, OpType::kPop);
+  EXPECT_EQ(r->status.code(), code) << r->status;
+}
+
+TEST(FilterTest, PopFailsOnceTheInnerQueueFails) {
+  PureRig rig;
+  const QDesc inner = *rig.libos.QueueCreate();
+  const QDesc filtered =
+      *rig.libos.Filter(inner, ElementPredicate{[](const SgArray&) { return true; }, 10});
+  const QToken pop = *rig.libos.Pop(filtered);
+  rig.sim.RunFor(kMicrosecond);  // the filter's internal pop is now pending on inner
+  ASSERT_TRUE(rig.libos.Close(inner).ok());
+  ExpectPopFails(rig, pop, ErrorCode::kCancelled);
+  ExpectPopFails(rig, *rig.libos.Pop(filtered), ErrorCode::kBadDescriptor);
+  EXPECT_EQ(rig.libos.pending_ops(), 0u);
+}
+
+TEST(MapTest, PopFailsOnceTheInnerQueueFails) {
+  PureRig rig;
+  const QDesc inner = *rig.libos.QueueCreate();
+  const QDesc mapped = *rig.libos.MapQueue(
+      inner, ElementTransform{[](const SgArray& sga) { return sga; }, 10});
+  const QToken pop = *rig.libos.Pop(mapped);
+  rig.sim.RunFor(kMicrosecond);
+  ASSERT_TRUE(rig.libos.Close(inner).ok());
+  ExpectPopFails(rig, pop, ErrorCode::kCancelled);
+  ExpectPopFails(rig, *rig.libos.Pop(mapped), ErrorCode::kBadDescriptor);
+  EXPECT_EQ(rig.libos.pending_ops(), 0u);
+}
+
+// What the sort queue already holds is served first; the inner failure fails the
+// next pop.
+TEST(SortTest, PopFailsOnceTheInnerQueueFailsAndTheBufferIsEmpty) {
+  PureRig rig;
+  const QDesc inner = *rig.libos.QueueCreate();
+  const QDesc sorted = *rig.libos.Sort(
+      inner, ElementComparator{[](const SgArray&, const SgArray&) { return false; }, 10});
+  ASSERT_TRUE(rig.libos.BlockingPush(sorted, Sga("buffered"))->status.ok());
+  ASSERT_TRUE(rig.libos.Close(inner).ok());
+  const QToken first = *rig.libos.Pop(sorted);
+  const QToken second = *rig.libos.Pop(sorted);
+  auto r = rig.libos.Wait(first, kMillisecond);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->sga.ToString(), "buffered");
+  ExpectPopFails(rig, second, ErrorCode::kBadDescriptor);
+  EXPECT_EQ(rig.libos.pending_ops(), 0u);
+}
+
+// A merge keeps serving from the inner queue that still works, and fails its pops
+// only once both have failed.
+TEST(MergeTest, PopFailsOnlyOnceBothInnerQueuesFail) {
+  PureRig rig;
+  const QDesc a = *rig.libos.QueueCreate();
+  const QDesc b = *rig.libos.QueueCreate();
+  const QDesc merged = *rig.libos.Merge(a, b);
+  const QToken pop = *rig.libos.Pop(merged);
+  rig.sim.RunFor(kMicrosecond);
+  ASSERT_TRUE(rig.libos.Close(a).ok());
+  rig.sim.RunFor(kMicrosecond);
+  EXPECT_FALSE(rig.libos.OpDone(pop));
+  ASSERT_TRUE(rig.libos.BlockingPush(b, Sga("from-b"))->status.ok());
+  auto r = rig.libos.Wait(pop, kMillisecond);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->sga.ToString(), "from-b");
+
+  const QToken last = *rig.libos.Pop(merged);
+  rig.sim.RunFor(kMicrosecond);
+  ASSERT_TRUE(rig.libos.Close(b).ok());
+  ExpectPopFails(rig, last, ErrorCode::kCancelled);
+  EXPECT_EQ(rig.libos.pending_ops(), 0u);
+}
+
 TEST(QConnectTest, SplicesElementsBetweenQueues) {
   PureRig rig;
   const QDesc in = *rig.libos.QueueCreate();
