@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"

@@ -113,9 +113,10 @@ TEST(CatnipFootprintTest, IdleEstablishedConnectionHoldsNoQueueStorage) {
   EXPECT_LE(held, 7u) << "blocks one idle connection holds, both ends together";
 }
 
-// A Catnap socket is the queue object, its qtable entry and the kernel's fd entry.
-// Its decoder, pending pushes and pops and batched-accept fds are Fifos and allocate
-// nothing while empty (as std::deques, three of them added a map and a node each).
+// A Catnap Socket() allocates its queue object and qtable entry, and here the kernel's
+// fd table grows by one entry. The queue's decoder, pending pushes and pops and
+// batched-accept fds are Fifos and allocate nothing while empty (as std::deques,
+// three of them added a map and a node each).
 TEST(CatnapFootprintTest, SocketAllocatesNoQueueStorage) {
   TestHarness h;
   auto& host = h.AddHost("server", "10.0.0.1");
@@ -129,9 +130,9 @@ TEST(CatnapFootprintTest, SocketAllocatesNoQueueStorage) {
   EXPECT_LE(allocations, 3u);
 }
 
-// An idle Catnap connection keeps, on each end, its queue object, qtable entry, the
-// kernel's fd entry and TcpConnection, less what the first connection already sized:
-// 7 blocks for both ends. Empty std::deques in the two queues held 12 more.
+// An idle Catnap connection keeps, on each end, its queue object, its qtable entry
+// and the kernel's TcpConnection, and one more small block: 7 blocks for both ends.
+// Empty std::deques in the two queues held 12 more.
 TEST(CatnapFootprintTest, IdleEstablishedConnectionHoldsNoQueueStorage) {
   TestHarness h;
   auto& sh = h.AddHost("server", "10.0.0.1");
