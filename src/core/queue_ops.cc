@@ -5,37 +5,11 @@
 
 namespace demi {
 
-namespace {
-
-QResult MakePopResult(SgArray sga) {
-  QResult r;
-  r.op = OpType::kPop;
-  r.sga = std::move(sga);
-  return r;
-}
-
-// A pop the inner queue refused or failed fails the combinator's pop the same way.
-QResult MakePopFailure(Status status) {
-  QResult r;
-  r.op = OpType::kPop;
-  r.status = std::move(status);
-  return r;
-}
-
-QResult MakePushResult(Status status = OkStatus()) {
-  QResult r;
-  r.op = OpType::kPush;
-  r.status = std::move(status);
-  return r;
-}
-
-}  // namespace
-
 // --- MemoryQueue ---
 
 Status MemoryQueue::StartPush(QToken token, const SgArray& sga) {
   elements_.push_back(sga);
-  ready_.emplace_back(token, MakePushResult());
+  ready_.emplace_back(token, MakeQResult(OpType::kPush));
   return OkStatus();
 }
 
@@ -57,7 +31,7 @@ bool MemoryQueue::Progress(CompletionSink& sink) {
     pending_pops_.pop_front();
     SgArray sga = std::move(elements_.front());
     elements_.pop_front();
-    sink.CompleteOp(token, MakePopResult(std::move(sga)));
+    sink.CompleteOp(token, MakeQResult(OpType::kPop, OkStatus(), std::move(sga)));
     progress = true;
   }
   return progress;
@@ -78,7 +52,12 @@ std::optional<QResult> CombinatorQueue::PumpInnerPop(QDesc qd, InnerPop& state) 
   if (state.token == kInvalidQToken) {
     auto token = libos_->Pop(qd);
     if (!token.ok()) {
-      return MakePopFailure(token.status());  // e.g. the inner queue was closed
+      // A queue that is gone fails the pop for good. Any other refusal (a socket not
+      // yet connected, say) may clear, so the pop is tried again next poll.
+      if (token.status().code() == ErrorCode::kBadDescriptor) {
+        return MakeQResult(OpType::kPop, token.status());
+      }
+      return std::nullopt;
     }
     state.token = *token;
     return std::nullopt;
@@ -89,7 +68,7 @@ std::optional<QResult> CombinatorQueue::PumpInnerPop(QDesc qd, InnerPop& state) 
   auto r = libos_->TakeResultInternal(state.token);
   state.token = kInvalidQToken;
   if (!r.ok()) {
-    return MakePopFailure(r.status());
+    return MakeQResult(OpType::kPop, r.status());
   }
   return std::move(*r);
 }
@@ -135,15 +114,17 @@ bool MergeQueue::Progress(CompletionSink& sink) {
     progress |= PumpInner(inner2_, pop2_, error2_);
   }
   while (!pending_pops_.empty() && !buffered_.empty()) {
-    sink.CompleteOp(pending_pops_.front(), MakePopResult(std::move(buffered_.front())));
-    pending_pops_.pop_front();
+    SgArray sga = std::move(buffered_.front());
     buffered_.pop_front();
+    sink.CompleteOp(pending_pops_.front(),
+                    MakeQResult(OpType::kPop, OkStatus(), std::move(sga)));
+    pending_pops_.pop_front();
     progress = true;
   }
   // Once both inner queues have failed, no element can come any more.
   if (!error1_.ok() && !error2_.ok()) {
     while (!pending_pops_.empty()) {
-      sink.CompleteOp(pending_pops_.front(), MakePopFailure(error1_));
+      sink.CompleteOp(pending_pops_.front(), MakeQResult(OpType::kPop, error1_));
       pending_pops_.pop_front();
       progress = true;
     }
@@ -158,7 +139,7 @@ bool MergeQueue::Progress(CompletionSink& sink) {
       } else if (rb.ok() && !rb->status.ok()) {
         status = rb->status;
       }
-      sink.CompleteOp(it->user, MakePushResult(std::move(status)));
+      sink.CompleteOp(it->user, MakeQResult(OpType::kPush, std::move(status)));
       it = pushes_.erase(it);
       progress = true;
     } else {
@@ -176,7 +157,7 @@ Status FilterQueue::StartPush(QToken token, const SgArray& sga) {
   }
   if (!pred_.fn(sga)) {
     // Element filtered out: the push "succeeds" but nothing reaches the inner queue.
-    ready_.emplace_back(token, MakePushResult());
+    ready_.emplace_back(token, MakeQResult(OpType::kPush));
     return OkStatus();
   }
   auto inner_token = libos_->Push(inner_, sga);
@@ -199,7 +180,8 @@ bool FilterQueue::Progress(CompletionSink& sink) {
   }
   if (!pending_pops_.empty()) {
     if (auto r = PumpInnerPop(inner_, pop_); r && !r->status.ok()) {
-      sink.CompleteOp(pending_pops_.front(), MakePopFailure(std::move(r->status)));
+      sink.CompleteOp(pending_pops_.front(),
+                      MakeQResult(OpType::kPop, std::move(r->status)));
       pending_pops_.pop_front();
       progress = true;
     } else if (r) {
@@ -212,7 +194,8 @@ bool FilterQueue::Progress(CompletionSink& sink) {
         pass = pred_.fn(r->sga);
       }
       if (pass) {
-        sink.CompleteOp(pending_pops_.front(), MakePopResult(std::move(r->sga)));
+        sink.CompleteOp(pending_pops_.front(),
+                        MakeQResult(OpType::kPop, OkStatus(), std::move(r->sga)));
         pending_pops_.pop_front();
       } else {
         ++dropped_on_cpu_;
@@ -222,7 +205,8 @@ bool FilterQueue::Progress(CompletionSink& sink) {
   for (auto it = pushes_.begin(); it != pushes_.end();) {
     if (libos_->OpDone(it->inner_token)) {
       auto r = libos_->TakeResultInternal(it->inner_token);
-      sink.CompleteOp(it->user, MakePushResult(r.ok() ? r->status : r.status()));
+      sink.CompleteOp(it->user,
+                      MakeQResult(OpType::kPush, r.ok() ? r->status : r.status()));
       it = pushes_.erase(it);
       progress = true;
     } else {
@@ -250,7 +234,7 @@ void SortQueue::InsertSorted(SgArray sga) {
 
 Status SortQueue::StartPush(QToken token, const SgArray& sga) {
   InsertSorted(sga);
-  ready_.emplace_back(token, MakePushResult());
+  ready_.emplace_back(token, MakeQResult(OpType::kPush));
   return OkStatus();
 }
 
@@ -278,14 +262,15 @@ bool SortQueue::Progress(CompletionSink& sink) {
   while (!pending_pops_.empty() && !buffered_.empty()) {
     SgArray top = std::move(buffered_.back());
     buffered_.pop_back();
-    sink.CompleteOp(pending_pops_.front(), MakePopResult(std::move(top)));
+    sink.CompleteOp(pending_pops_.front(),
+                    MakeQResult(OpType::kPop, OkStatus(), std::move(top)));
     pending_pops_.pop_front();
     progress = true;
   }
   // An inner failure fails the oldest pop that nothing buffered could serve.
   if (!pending_pops_.empty() && !inner_error_.ok()) {
     sink.CompleteOp(pending_pops_.front(),
-                    MakePopFailure(std::exchange(inner_error_, OkStatus())));
+                    MakeQResult(OpType::kPop, std::exchange(inner_error_, OkStatus())));
     pending_pops_.pop_front();
     progress = true;
   }
@@ -313,9 +298,11 @@ bool MapQueueImpl::Progress(CompletionSink& sink) {
     if (auto r = PumpInnerPop(inner_, pop_)) {
       if (r->status.ok()) {
         libos_->host().Work(transform_.host_cost_ns);
-        sink.CompleteOp(pending_pops_.front(), MakePopResult(transform_.fn(r->sga)));
+        sink.CompleteOp(pending_pops_.front(),
+                        MakeQResult(OpType::kPop, OkStatus(), transform_.fn(r->sga)));
       } else {
-        sink.CompleteOp(pending_pops_.front(), MakePopFailure(std::move(r->status)));
+        sink.CompleteOp(pending_pops_.front(),
+                        MakeQResult(OpType::kPop, std::move(r->status)));
       }
       pending_pops_.pop_front();
       progress = true;
@@ -324,7 +311,8 @@ bool MapQueueImpl::Progress(CompletionSink& sink) {
   for (auto it = pushes_.begin(); it != pushes_.end();) {
     if (libos_->OpDone(it->inner_token)) {
       auto r = libos_->TakeResultInternal(it->inner_token);
-      sink.CompleteOp(it->user, MakePushResult(r.ok() ? r->status : r.status()));
+      sink.CompleteOp(it->user,
+                      MakeQResult(OpType::kPush, r.ok() ? r->status : r.status()));
       it = pushes_.erase(it);
       progress = true;
     } else {

@@ -47,9 +47,11 @@ class CombinatorQueue : public IoQueue {
 
  protected:
   // Ensures one internal pop is outstanding on `qd`; returns the completed result if
-  // one arrived (consuming the token). A pop the inner queue refuses (it was closed,
-  // say) or fails comes back as a result carrying the error: the combinator fails
-  // its own oldest pending pop with it, after serving anything it has buffered.
+  // one arrived (consuming the token). A pop that fails, or that finds the inner
+  // queue gone (kBadDescriptor), comes back as a result carrying the error: the
+  // combinator fails its own oldest pending pop with it, after serving anything it
+  // has buffered. Any other refusal (a socket not yet connected, say) may clear, so
+  // the pop is tried again on the next poll.
   struct InnerPop {
     QToken token = kInvalidQToken;
   };

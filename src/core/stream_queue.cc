@@ -2,18 +2,6 @@
 
 namespace demi {
 
-namespace {
-
-QResult Completion(OpType op, Status status, SgArray sga = SgArray()) {
-  QResult res;
-  res.op = op;
-  res.status = std::move(status);
-  res.sga = std::move(sga);
-  return res;
-}
-
-}  // namespace
-
 Status StreamQueue::StartPush(QToken token, const SgArray& sga) {
   RETURN_IF_ERROR(Admit(OpType::kPush));
   pushes_.push_back(PendingPush{token, Frame(sga)});
@@ -55,7 +43,7 @@ bool StreamQueue::Progress(CompletionSink& sink) {
     const Status closed = WriteClosed();
     if (!closed.ok()) {
       while (!pushes_.empty()) {
-        sink.CompleteOp(pushes_.front().token, Completion(OpType::kPush, closed));
+        sink.CompleteOp(pushes_.front().token, MakeQResult(OpType::kPush, closed));
         pushes_.pop_front();
       }
       progress = true;
@@ -74,7 +62,7 @@ bool StreamQueue::Progress(CompletionSink& sink) {
       }
     }
     // The whole frame is written, or an error fails the push.
-    sink.CompleteOp(push.token, Completion(OpType::kPush, written.status()));
+    sink.CompleteOp(push.token, MakeQResult(OpType::kPush, written.status()));
     pushes_.pop_front();
     progress = true;
     if (!written.ok()) {
@@ -83,7 +71,8 @@ bool StreamQueue::Progress(CompletionSink& sink) {
   }
 
   if (!pops_.empty() && first_.has_value()) {
-    sink.CompleteOp(pops_.front(), Completion(OpType::kPop, OkStatus(), std::move(*first_)));
+    sink.CompleteOp(pops_.front(),
+                    MakeQResult(OpType::kPop, OkStatus(), std::move(*first_)));
     first_.reset();
     pops_.pop_front();
     progress = true;
@@ -95,7 +84,7 @@ bool StreamQueue::Progress(CompletionSink& sink) {
     auto decoded = decoder_.Next();
     if (decoded.ok() && decoded->has_value()) {
       sink.CompleteOp(pops_.front(),
-                      Completion(OpType::kPop, OkStatus(), std::move(**decoded)));
+                      MakeQResult(OpType::kPop, OkStatus(), std::move(**decoded)));
       pops_.pop_front();
       progress = true;
       continue;
@@ -104,7 +93,7 @@ bool StreamQueue::Progress(CompletionSink& sink) {
     if (closed.ok()) {
       break;  // need more bytes
     }
-    sink.CompleteOp(pops_.front(), Completion(OpType::kPop, std::move(closed)));
+    sink.CompleteOp(pops_.front(), MakeQResult(OpType::kPop, std::move(closed)));
     pops_.pop_front();
     progress = true;
   }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "src/common/status.h"
 #include "src/memory/sgarray.h"
@@ -42,6 +43,16 @@ struct QResult {
   SgArray sga;                  // kPop: the atomic unit that arrived
   QDesc new_qd = kInvalidQDesc; // kAccept: the new connection's queue
 };
+
+// The result of a completed push or pop: its status and, for a pop, the element.
+inline QResult MakeQResult(OpType op, Status status = OkStatus(),
+                           SgArray sga = SgArray()) {
+  QResult res;
+  res.op = op;
+  res.status = std::move(status);
+  res.sga = std::move(sga);
+  return res;
+}
 
 // A user function applied to queue elements by filter/sort/map queues. The host-cost
 // estimate drives the cost model and the libOS's offload decision (§4.3: filters run

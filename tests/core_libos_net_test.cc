@@ -436,6 +436,69 @@ TEST(CatnipTest, PeerResetFailsPendingPopsAndPushes) {
   ExpectPeerResetFailsPendingOps(h, server, ch, sh.ip);
 }
 
+// A combinator over a socket that connects later waits for it: the socket refuses
+// pops before connect (kNotConnected), and the combinator asks again on each poll
+// instead of failing its own pop.
+
+// Connects the client's socket `qd` to a new listener on `server`, pushes `msg` from
+// the server's end, and returns what `pop` (on a combinator over `qd`) received.
+Result<QResult> ConnectAndPopThroughCombinator(TestHarness& h, LibOS& server,
+                                               LibOS& client, QDesc qd,
+                                               Ipv4Address server_ip, QToken pop,
+                                               const std::string& msg) {
+  h.sim().RunFor(kMillisecond);
+  EXPECT_FALSE(client.OpDone(pop));
+  const QDesc listen_qd = *server.Socket();
+  EXPECT_TRUE(server.Bind(listen_qd, kPort).ok());
+  EXPECT_TRUE(server.Listen(listen_qd).ok());
+  const QToken accept = *server.AcceptAsync(listen_qd);
+  const QToken connect = *client.ConnectAsync(qd, Endpoint{server_ip, kPort});
+  auto connected = client.Wait(connect, kSecond);
+  EXPECT_TRUE(connected.ok() && connected->status.ok());
+  auto accepted = server.Wait(accept, kSecond);
+  EXPECT_TRUE(accepted.ok() && accepted->status.ok());
+  EXPECT_TRUE(server.BlockingPush(accepted->new_qd, Sga(msg))->status.ok());
+  return client.Wait(pop, kSecond);
+}
+
+TEST(CatnipTest, MergeServesASocketThatConnectsLater) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  const QDesc local = *client.QueueCreate();
+  const QDesc sock = *client.Socket();
+  const QDesc merged = *client.Merge(local, sock);
+  const QToken first = *client.Pop(merged);
+  ASSERT_TRUE(client.BlockingPush(local, Sga("local"))->status.ok());
+  auto r = client.Wait(first, kSecond);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->sga.ToString(), "local");
+
+  r = ConnectAndPopThroughCombinator(h, server, client, sock, sh.ip,
+                                     *client.Pop(merged), "from the socket");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->status.ok()) << r->status;
+  EXPECT_EQ(r->sga.ToString(), "from the socket");
+}
+
+TEST(CatnipTest, FilterServesASocketThatConnectsLater) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  const QDesc sock = *client.Socket();
+  const QDesc filtered =
+      *client.Filter(sock, ElementPredicate{[](const SgArray&) { return true; }, 10});
+  auto r = ConnectAndPopThroughCombinator(h, server, client, sock, sh.ip,
+                                          *client.Pop(filtered), "from the socket");
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_TRUE(r->status.ok()) << r->status;
+  EXPECT_EQ(r->sga.ToString(), "from the socket");
+}
+
 TEST(CatnipTest, UdpDatagramIsOneElement) {
   TestHarness h;
   auto& sh = h.AddHost("server", "10.0.0.1");
