@@ -9,16 +9,20 @@
 #   - the out-of-line functions defined in src/*.cc that never ran. Functions defined
 #     in headers are left out: every translation unit that uses an inline function
 #     compiles its own copy, and gcov can report one copy at 0% while another runs.
+# It exits 1 when the src/*.cc line coverage is below FLOOR (the CI coverage job).
 #
 # Usage:
 #   tools/coverage.sh
-#   COVERAGE_MIN=91.5 tools/coverage.sh   # also exit 1 below 91.5% (the CI gate)
+#   CXX=g++-12 tools/coverage.sh   # the compiler the floor was measured with
 #
 # Environment:
 #   COV_BUILD_DIR   build directory (default: <repo>/build-cov)
-#   COVERAGE_MIN    lowest acceptable src/*.cc line coverage, in percent (default: 0)
-#   CTEST_ARGS      extra args for ctest, e.g. CTEST_ARGS="-L metrics"
 set -euo pipefail
+
+# Lowest acceptable src/*.cc line coverage, in percent: what the tree reached when
+# the floor was last raised, with gcc 12. Another gcc release may count lines
+# differently, so CI builds with g++-12. Raise it as tests cover more.
+FLOOR=92.0
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${COV_BUILD_DIR:-$REPO/build-cov}"
@@ -29,16 +33,21 @@ cmake --build "$BUILD" -j "$(nproc)"
 
 # Count this run only.
 find "$BUILD" -name '*.gcda' -delete
-# shellcheck disable=SC2086
-(cd "$BUILD" && ctest --output-on-failure -j "$(nproc)" ${CTEST_ARGS:-})
+(cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
 
-python3 - "$REPO" "$BUILD" "${COVERAGE_MIN:-0}" <<'PY'
+# gcov reads only the notes files of its own gcc release: use the compiler's
+# gcov-<major> when it is installed.
+CXX_BIN="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' "$BUILD/CMakeCache.txt")"
+GCOV="gcov-$("$CXX_BIN" -dumpfullversion | cut -d. -f1)"
+command -v "$GCOV" >/dev/null || GCOV=gcov
+
+python3 - "$REPO" "$BUILD" "$GCOV" "$FLOOR" <<'PY'
 import json
 import os
 import subprocess
 import sys
 
-repo, build, minimum = sys.argv[1], sys.argv[2], float(sys.argv[3])
+repo, build, gcov, floor = sys.argv[1], sys.argv[2], sys.argv[3], float(sys.argv[4])
 lines = {}      # src/x.cc -> {line number: executed}
 functions = {}  # (src/x.cc, line, name) -> executed
 
@@ -46,7 +55,7 @@ functions = {}  # (src/x.cc, line, name) -> executed
 # has no .gcda and reports all its lines as not run.
 for root, _, names in sorted(os.walk(os.path.join(build, "src"))):
     for name in sorted(n for n in names if n.endswith(".gcno")):
-        out = subprocess.run(["gcov", "-j", "-t", name], cwd=root, check=True,
+        out = subprocess.run([gcov, "-j", "-t", name], cwd=root, check=True,
                              capture_output=True, text=True).stdout
         report = json.loads(out)
         for entry in report["files"]:
@@ -74,7 +83,7 @@ percent = 100.0 * ran / total if total else 0.0
 print(f"\n{'file':<36} {'lines':>6} {'never run':>10} {'coverage':>9}")
 for never, path, count, run in rows:
     print(f"{path:<36} {count:>6} {never:>10} {100.0 * run / count:>8.1f}%")
-print(f"\nsrc/*.cc: {percent:.1f}% of {total:,} executable lines ran; "
+print(f"\nsrc/*.cc: {percent:.2f}% of {total:,} executable lines ran; "
       f"{total - ran:,} never did.")
 
 never_run = sorted(k for k, executed in functions.items() if not executed)
@@ -82,7 +91,7 @@ print(f"\nOut-of-line functions in src/*.cc that never ran ({len(never_run)}):")
 for path, line, name in never_run:
     print(f"  {path}:{line}  {name}")
 
-if percent < minimum:
-    print(f"\nFAIL: src/*.cc line coverage {percent:.1f}% is below the floor {minimum}%")
+if percent < floor:
+    print(f"\nFAIL: src/*.cc line coverage {percent:.2f}% is below the floor {floor}%")
     sys.exit(1)
 PY
