@@ -194,21 +194,21 @@ bool CatfishLibOS::PollDevice() {
       progress = true;
     }
   }
-  // Resubmit commands deferred on a full submission queue.
+  // Resubmit commands deferred on a full submission queue, oldest first; a command
+  // leaves the queue only once the device takes it.
   while (!deferred_.empty()) {
-    Deferred d = std::move(deferred_.front());
-    deferred_.pop_front();
     const std::uint64_t cmd_id = next_cmd_++;
-    const Status status = SubmitToDevice(cmd_id, d.cmd);
+    const Status status = SubmitToDevice(cmd_id, deferred_.front().cmd);
     if (status.code() == ErrorCode::kResourceExhausted) {
-      deferred_.push_front(std::move(d));
       break;
     }
+    CompletionFn done = std::move(deferred_.front().done);
+    deferred_.pop_front();
     progress = true;
     if (!status.ok()) {
-      d.done(SyntheticCompletion(status));
+      done(SyntheticCompletion(status));
     } else {
-      callbacks_[cmd_id] = std::move(d.done);
+      callbacks_[cmd_id] = std::move(done);
     }
   }
   return progress;
@@ -221,12 +221,22 @@ CatfishFileQueue::CatfishFileQueue(CatfishLibOS* libos, CatfishLibOS::FileMeta* 
 
 CatfishFileQueue::~CatfishFileQueue() { *alive_ = false; }
 
-std::vector<std::byte>& CatfishFileQueue::CachedBlock(std::uint64_t index) {
+std::byte* CatfishFileQueue::WritableBlock(std::uint64_t index) {
   auto [it, inserted] = block_cache_.try_emplace(index);
+  Buffer& block = it->second;
   if (inserted) {
-    it->second.assign(kBlock, std::byte{0});
+    if (index == meta_->used_bytes / kBlock && !meta_->tail.empty()) {
+      block = meta_->tail;
+    } else {
+      block = Buffer::Allocate(kBlock);
+      std::memset(block.mutable_data(), 0, kBlock);
+    }
   }
-  return it->second;
+  if (block.use_count() > 1) {
+    // The device, a deferred or retried write, or the catalog's tail still holds it.
+    block = Buffer::CopyOf(block.span());
+  }
+  return block.mutable_data();
 }
 
 bool CatfishFileQueue::BlockResident(std::uint64_t index) const {
@@ -248,8 +258,8 @@ void CatfishFileQueue::FetchBlock(std::uint64_t index) {
                        }
                        fetch_in_flight_.erase(index);
                        if (c.status.ok()) {
-                         auto& block = CachedBlock(index);
-                         std::memcpy(block.data(), dest.data(), kBlock);
+                         // A push into the block since the read was issued is newer.
+                         block_cache_.try_emplace(index, dest);
                        } else {
                          read_error_ = c.status;
                        }
@@ -287,10 +297,9 @@ bool CatfishFileQueue::ReadLogBytes(std::uint64_t offset, std::size_t len, std::
 }
 
 void CatfishFileQueue::WriteBlockOut(std::uint64_t index, PendingPush* push) {
-  Buffer data = Buffer::CopyOf(std::span<const std::byte>(CachedBlock(index)));
   ++push->writes_outstanding;
   std::weak_ptr<bool> alive = alive_;
-  libos_->SubmitWrite(meta_->base_lba + index, std::move(data),
+  libos_->SubmitWrite(meta_->base_lba + index, block_cache_.at(index),
                       [alive, push](const BlockCompletion& c) {
                         auto locked = alive.lock();
                         if (!locked || !*locked) {
@@ -329,7 +338,7 @@ Status CatfishFileQueue::StartPush(QToken token, const SgArray& sga) {
       const std::uint64_t index = pos / kBlock;
       const std::size_t in_block = pos % kBlock;
       const std::size_t take = std::min(kBlock - in_block, bytes.size() - at);
-      std::memcpy(CachedBlock(index).data() + in_block, bytes.data() + at, take);
+      std::memcpy(WritableBlock(index) + in_block, bytes.data() + at, take);
       at += take;
     }
   };
@@ -337,6 +346,9 @@ Status CatfishFileQueue::StartPush(QToken token, const SgArray& sga) {
   write_bytes(start + kRecordHeader, payload.span());
   meta_->used_bytes += record_len;
   ++meta_->records;
+  meta_->tail = meta_->used_bytes % kBlock != 0
+                    ? block_cache_.at(meta_->used_bytes / kBlock)
+                    : Buffer();
 
   // Persist every touched block (the tail block is rewritten in place — the classic
   // small-append pattern of a log on a block device).
@@ -378,7 +390,7 @@ Status CatfishFileQueue::StartPushdown(QToken token, PushdownProgramId program,
         if (c.status.ok()) {
           res.sga = SgArray(Buffer::CopyOf(c.payload.span()));
         }
-        ready_pushdowns_.emplace_back(token, std::move(res));
+        ready_pushdowns_.push_back({token, std::move(res)});
       });
   return OkStatus();
 }
@@ -462,6 +474,11 @@ bool CatfishFileQueue::Progress(CompletionSink& sink) {
       res.status = ProtocolError("record checksum mismatch");
     } else {
       res.sga = SgArray(std::move(payload));
+    }
+    // Drop the blocks the cursor has now passed entirely: nothing reads them again.
+    for (std::uint64_t index = read_offset_ / kBlock;
+         index < (read_offset_ + kRecordHeader + len) / kBlock; ++index) {
+      block_cache_.erase(index);
     }
     read_offset_ += kRecordHeader + len;
     sink.CompleteOp(pending_pops_.front(), std::move(res));

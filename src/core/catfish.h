@@ -13,16 +13,23 @@
 // data itself lives in the simulated device and survives queue close/reopen. Each
 // libOS serves a single application (§5.3: no UNIX file system needed), so there are
 // no permissions, directories, or sharing.
+//
+// Each block is stored once. The device keeps the Buffers it is written from, and a
+// queue's resident blocks share them copy-on-write: a push copies a block only while
+// another holder still shares it. A queue keeps resident the blocks it has written and
+// the blocks it has fetched, until its replay cursor has passed them entirely: pops
+// only move forward, appends write at or past the cursor and push-down reads the
+// device directly, so nothing reads a passed block again.
 
 #ifndef SRC_CORE_CATFISH_H_
 #define SRC_CORE_CATFISH_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/recovery.h"
 #include "src/hw/block_device.h"
@@ -48,12 +55,18 @@ class CatfishLibOS final : public LibOS {
     std::uint64_t extent_blocks = 0;
     std::uint64_t used_bytes = 0;  // bytes of log written so far
     std::uint64_t records = 0;
+    // The log's partly filled last block (empty when used_bytes is a whole number of
+    // blocks): the page the device and the writing queue already share, so a reopened
+    // queue appends to it without reading the device or wiping the records in it.
+    Buffer tail;
   };
 
   // Completion routing: the device CQ is shared; each command's continuation runs
   // when its completion arrives (guarded against the owning queue being gone).
   // Push-down chains deliver their payload and step count through the completion.
   using CompletionFn = std::function<void(const BlockCompletion&)>;
+  // The device keeps `data` as the media of the blocks it writes: never modify it
+  // after this call.
   std::uint64_t SubmitWrite(std::uint64_t lba, Buffer data, CompletionFn done);
   std::uint64_t SubmitRead(std::uint64_t lba, Buffer dest, CompletionFn done);
   // Submits a device-side push-down chain rooted at absolute `lba`. When recovery is
@@ -122,7 +135,7 @@ class CatfishLibOS final : public LibOS {
     IoCmd cmd;
     CompletionFn done;
   };
-  std::deque<Deferred> deferred_;
+  Fifo<Deferred> deferred_;
 };
 
 class CatfishFileQueue final : public IoQueue {
@@ -153,7 +166,10 @@ class CatfishFileQueue final : public IoQueue {
     bool submitted = false;
   };
 
-  std::vector<std::byte>& CachedBlock(std::uint64_t index);
+  // Block `index`, ready to be written in place: a resident block that another holder
+  // still shares is copied first; a block that is not resident starts from the
+  // catalog's tail page when it is the log's partly filled last block, zeroed otherwise.
+  std::byte* WritableBlock(std::uint64_t index);
   bool BlockResident(std::uint64_t index) const;
   void FetchBlock(std::uint64_t index);
   // Copies `len` log bytes at `offset` into `out`; false if any block is cold
@@ -164,14 +180,14 @@ class CatfishFileQueue final : public IoQueue {
   CatfishLibOS* libos_;
   CatfishLibOS::FileMeta* meta_;
   std::shared_ptr<bool> alive_;  // guards device-completion continuations
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> block_cache_;
+  std::unordered_map<std::uint64_t, Buffer> block_cache_;
   std::unordered_map<std::uint64_t, bool> fetch_in_flight_;
-  std::deque<std::unique_ptr<PendingPush>> pending_pushes_;
-  std::deque<QToken> pending_pops_;
+  Fifo<std::unique_ptr<PendingPush>> pending_pushes_;
+  Fifo<QToken> pending_pops_;
   // Push-down chains in flight on the device; their device completions park results
   // in `ready_pushdowns_` for Progress to deliver in completion order.
   std::vector<QToken> pending_pushdowns_;
-  std::deque<std::pair<QToken, QResult>> ready_pushdowns_;
+  Fifo<std::pair<QToken, QResult>> ready_pushdowns_;
   std::uint64_t read_offset_ = 0;  // replay cursor
   // Sticky error from a failed block fetch (media error, device death). Progress
   // flushes pending pops with it — without this, ReadLogBytes would refetch the bad

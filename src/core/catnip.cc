@@ -226,8 +226,8 @@ Status CatnipTcpQueue::WriteClosed() {
 }
 
 Result<std::size_t> CatnipTcpQueue::WriteSome(std::span<const Buffer> parts) {
-  if (!conn_->established()) {
-    return std::size_t{0};  // still connecting, or the peer has closed its side
+  if (!conn_->can_send()) {
+    return std::size_t{0};  // still connecting
   }
   // One gathered write per element: its length header and segments share TCP
   // segments.

@@ -25,14 +25,6 @@ DeviceCaps BlockDevice::caps() const {
   };
 }
 
-std::vector<std::byte>& BlockDevice::BlockAt(std::uint64_t lba) {
-  auto [it, inserted] = blocks_.try_emplace(lba);
-  if (inserted) {
-    it->second.assign(config_.block_size, std::byte{0});
-  }
-  return it->second;
-}
-
 FaultDeviceId BlockDevice::AttachFaultInjector(FaultInjector* faults) {
   faults_ = faults;
   fault_dev_ = faults->Register("blk/" + host_->name(), [this](const FaultEvent& event) {
@@ -144,9 +136,9 @@ Status BlockDevice::SubmitWrite(std::uint64_t id, std::uint64_t lba, Buffer src)
   }
 
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::memcpy(BlockAt(lba + i).data(),
-                src.data() + static_cast<std::size_t>(i) * config_.block_size,
-                config_.block_size);
+    blocks_.insert_or_assign(
+        lba + i, src.Slice(static_cast<std::size_t>(i) * config_.block_size,
+                           config_.block_size));
   }
   host_->Count(Counter::kDmaOps, count);
   const TimeNs service = host_->cost().NvmeNs(/*is_write=*/true, src.size());
@@ -299,7 +291,7 @@ void BlockDevice::PushdownStep(std::shared_ptr<PushdownChain> chain) {
   }
   std::span<const std::byte> block =
       it != blocks_.end()
-          ? std::span<const std::byte>(it->second)
+          ? it->second.span()
           : std::span<const std::byte>(zero_block_.data(), config_.block_size);
 
   // Execute the program on the device's (wimpier) cores.

@@ -5,6 +5,12 @@
 // caller-provided buffers — zero copies on the host. Data lives in an in-memory sparse
 // block store; service times follow the NVMe entries of the cost model.
 //
+// The store keeps the Buffers it is given: a write's blocks become zero-copy slices of
+// the caller's Buffer, held by refcount as a device holds a buffer under
+// free-protection (§4.5). A writer must therefore never modify a Buffer after
+// submitting it; to change a block it has written, it writes a fresh copy (Catfish
+// copies a cached block on write while the device still shares it).
+//
 // The legacy kernel's VFS (src/kernel) drives the same device through its own layer
 // (page cache + copies + syscalls), which is exactly the contrast experiment E3 measures.
 
@@ -62,7 +68,8 @@ class BlockDevice {
   // the queue is at depth (caller backs off).
   Status SubmitRead(std::uint64_t id, std::uint64_t lba, std::uint32_t count, Buffer dest);
 
-  // Submits a write of `src` (whole blocks) at `lba`.
+  // Submits a write of `src` (whole blocks) at `lba`. On success the written blocks
+  // are slices of `src`, which the caller must not modify from now on.
   Status SubmitWrite(std::uint64_t id, std::uint64_t lba, Buffer src);
 
   // Submits a flush barrier: completes after every previously submitted write.
@@ -118,7 +125,6 @@ class BlockDevice {
   // Runs one device-side step of `chain` (fetch chain->lba, execute the program,
   // finish or resubmit). Called from a scheduled event at the step's start time.
   void PushdownStep(std::shared_ptr<PushdownChain> chain);
-  std::vector<std::byte>& BlockAt(std::uint64_t lba);
   // Consults the injector for a per-op fault; returns the Status the op should complete
   // with (and the extra delay for timeouts), or kOk when the op proceeds normally.
   Status ConsultOpFault(TimeNs* extra_delay);
@@ -128,7 +134,7 @@ class BlockDevice {
   FaultInjector* faults_ = nullptr;
   FaultDeviceId fault_dev_ = kInvalidFaultDevice;
   bool failed_ = false;
-  std::unordered_map<std::uint64_t, std::vector<std::byte>> blocks_;
+  std::unordered_map<std::uint64_t, Buffer> blocks_;  // one block_size slice each
   std::vector<PushdownProgram> programs_;
   std::vector<std::byte> zero_block_;  // device-local scratch for unwritten LBAs
   RingBuffer<BlockCompletion> cq_;

@@ -167,8 +167,7 @@ Status TcpConnection::WritableStatus() const {
   if (reset_) {
     return ConnectionReset("connection reset");
   }
-  if (state_ != State::kEstablished && state_ != State::kCloseWait &&
-      state_ != State::kSynSent && state_ != State::kSynReceived) {
+  if (!can_send() && state_ != State::kSynSent && state_ != State::kSynReceived) {
     return NotConnected("send after close");
   }
   if (fin_queued_ || fin_sent_) {
@@ -206,7 +205,7 @@ Status TcpConnection::Send(Buffer data) {
 }
 
 void TcpConnection::TrySend() {
-  if (state_ != State::kEstablished && state_ != State::kCloseWait) {
+  if (!can_send()) {
     return;
   }
   const auto& cfg = io_->tcp_config();

@@ -116,6 +116,11 @@ class TcpConnection {
 
   State state() const { return state_; }
   bool established() const { return state_ == State::kEstablished; }
+  // True in the states that transmit data: established, and CLOSE_WAIT, where the
+  // peer has closed its side but still reads ours.
+  bool can_send() const {
+    return state_ == State::kEstablished || state_ == State::kCloseWait;
+  }
   bool closed() const { return state_ == State::kClosed; }
   // True once the connection can never again produce data for the application.
   bool dead() const {

@@ -131,6 +131,27 @@ TEST(CatfishTest, ManySmallRecordsReplayInOrderAfterReopen) {
   }
 }
 
+// Regression: a reopened queue had not cached the log's partly filled last block, so
+// its first push started that block from zeros and wrote all of it back, wiping the
+// records already in it; their zeroed headers then replayed as empty records.
+TEST(CatfishTest, AppendAfterReopenKeepsTheTailBlocksRecords) {
+  CatfishRig rig;
+  const QDesc first = *rig.libos->Creat("/log/tail");
+  ASSERT_TRUE(rig.libos->BlockingPush(first, Sga("first"))->status.ok());
+  ASSERT_TRUE(rig.libos->Close(first).ok());
+  const QDesc second = *rig.libos->Open("/log/tail");
+  ASSERT_TRUE(rig.libos->BlockingPush(second, Sga("second"))->status.ok());
+  ASSERT_TRUE(rig.libos->Close(second).ok());
+
+  const QDesc qd = *rig.libos->Open("/log/tail");
+  for (const char* expected : {"first", "second"}) {
+    auto r = rig.libos->BlockingPop(qd);
+    ASSERT_TRUE(r.ok() && r->status.ok());
+    EXPECT_EQ(r->sga.ToString(), expected);
+  }
+  EXPECT_EQ(rig.libos->BlockingPop(qd)->status.code(), ErrorCode::kEndOfFile);
+}
+
 TEST(CatfishTest, TwoFilesAreIndependent) {
   CatfishRig rig;
   const QDesc a = *rig.libos->Creat("/log/a");

@@ -212,6 +212,38 @@ void ExpectPeerResetFailsPendingOps(TestHarness& h, LibOS& server,
   EXPECT_EQ(server.pending_ops(), 0u);
 }
 
+// The peer writes one request frame and then closes its side, so the server's end of
+// the connection is in CLOSE_WAIT: the server pops the request, and its reply must
+// still reach the peer, which reads until it has the whole reply frame.
+void ExpectReplyReachesHalfClosedPeer(TestHarness& h, LibOS& server,
+                                      TestHarness::Host& peer_host,
+                                      Ipv4Address server_ip) {
+  auto [sqd, fd] = ConnectKernelPeer(h, server, peer_host, server_ip);
+  SimKernel& kernel = *peer_host.kernel;
+  const Buffer request = ConcatCopy(EncodeFrame(Sga("ping")));
+  auto written = kernel.WriteSock(fd, request);
+  ASSERT_TRUE(written.ok() && *written == request.size());
+  kernel.SockConnection(fd)->Close();
+  auto popped = server.BlockingPop(sqd, kSecond);
+  ASSERT_TRUE(popped.ok() && popped->status.ok());
+  EXPECT_EQ(popped->sga.ToString(), "ping");
+
+  auto pushed = server.BlockingPush(sqd, Sga("pong"), kSecond);
+  ASSERT_TRUE(pushed.ok()) << pushed.status();
+  EXPECT_TRUE(pushed->status.ok()) << pushed->status;
+  const std::string reply = ConcatCopy(EncodeFrame(Sga("pong"))).ToString();
+  std::string got;
+  h.RunUntil(
+      [&] {
+        if (auto chunk = kernel.ReadSock(fd, 64); chunk.ok()) {
+          got += chunk->ToString();
+        }
+        return got.size() >= reply.size();
+      },
+      h.sim().now() + kSecond);
+  EXPECT_EQ(got, reply);
+}
+
 // --- Catnip ---
 
 TEST(CatnipTest, EchoRoundTrip) {
@@ -434,6 +466,14 @@ TEST(CatnipTest, PeerResetFailsPendingPopsAndPushes) {
   auto& ch = h.AddHost("client", "10.0.0.2");
   auto& server = h.Catnip(sh);
   ExpectPeerResetFailsPendingOps(h, server, ch, sh.ip);
+}
+
+TEST(CatnipTest, RepliesToAPeerThatClosedItsSide) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  ExpectReplyReachesHalfClosedPeer(h, server, ch, sh.ip);
 }
 
 // A combinator over a socket that connects later waits for it: the socket refuses
@@ -663,6 +703,14 @@ TEST(CatnapTest, PeerResetFailsPendingPopsAndPushes) {
   auto& ch = h.AddHost("client", "10.0.0.2");
   auto& server = h.Catnap(sh);
   ExpectPeerResetFailsPendingOps(h, server, ch, sh.ip);
+}
+
+TEST(CatnapTest, RepliesToAPeerThatClosedItsSide) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  ExpectReplyReachesHalfClosedPeer(h, server, ch, sh.ip);
 }
 
 // --- interop: same application protocol across libOSes (§5.2 framing) ---

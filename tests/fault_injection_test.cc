@@ -287,6 +287,33 @@ TEST(FaultInjectionTest, BlockMediaErrorFailsPopThenRecovers) {
   EXPECT_EQ(retry->sga.ToString(), "durable record");
 }
 
+// The device keeps the Buffer a block was written from, and Catfish's cache shares
+// it. A later push into that block must write a copy: were it to write the shared
+// page in place, a push whose device write failed would still change the media.
+TEST(FaultInjectionTest, BlockWriteFaultLeavesTheSharedBlockUntouched) {
+  TestHarness h;
+  auto& host = h.AddHost("storage", "10.0.0.1", BlockOpts());
+  auto& libos = h.Catfish(host);
+
+  const QDesc wqd = *libos.Creat("/log");
+  ASSERT_TRUE(libos.BlockingPush(wqd, SgArray::FromString("first"))->status.ok());
+  h.faults().ScheduleOpFault(host.bdev->fault_device(), FaultKind::kMediaError,
+                             h.sim().now());
+  h.sim().RunFor(kMicrosecond);
+  auto failed = libos.BlockingPush(wqd, SgArray::FromString("second"));
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed->status.code(), ErrorCode::kMediaError) << failed->status;
+  ASSERT_TRUE(libos.Close(wqd).ok());
+
+  const QDesc rqd = *libos.Open("/log");
+  auto first = libos.BlockingPop(rqd);
+  ASSERT_TRUE(first.ok() && first->status.ok());
+  EXPECT_EQ(first->sga.ToString(), "first");
+  auto next = libos.BlockingPop(rqd);
+  ASSERT_TRUE(next.ok());
+  EXPECT_NE(next->sga.ToString(), "second");
+}
+
 TEST(FaultInjectionTest, BlockOpTimeoutCompletesLateWithKTimedOut) {
   TestHarness h;
   auto& host = h.AddHost("storage", "10.0.0.1", BlockOpts());

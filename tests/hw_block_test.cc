@@ -82,6 +82,24 @@ TEST(BlockDeviceTest, MultiBlockWriteAndRead) {
   EXPECT_EQ(std::to_integer<char>(dest.span()[2 * 4096]), 'c');
 }
 
+// The media keeps zero-copy slices of the Buffer a write submits, one per block, and
+// lets go of them when the blocks are written again.
+TEST(BlockDeviceTest, WrittenBlocksShareTheWritersBuffer) {
+  BlockRig rig;
+  const Buffer data = BlockOf('k', 2 * 4096);
+  ASSERT_TRUE(rig.dev.SubmitWrite(1, 7, data).ok());
+  EXPECT_TRUE(rig.WaitFor(1).ok());
+  EXPECT_EQ(data.use_count(), 3) << "the writer's view and one slice per block";
+
+  ASSERT_TRUE(rig.dev.SubmitWrite(2, 7, BlockOf('n', 2 * 4096)).ok());
+  EXPECT_TRUE(rig.WaitFor(2).ok());
+  EXPECT_EQ(data.use_count(), 1);
+  Buffer dest = Buffer::Allocate(2 * 4096);
+  ASSERT_TRUE(rig.dev.SubmitRead(3, 7, 2, dest).ok());
+  EXPECT_TRUE(rig.WaitFor(3).ok());
+  EXPECT_EQ(std::to_integer<char>(dest.span()[2 * 4096 - 1]), 'n');
+}
+
 TEST(BlockDeviceTest, RejectsPartialBlockWrite) {
   BlockRig rig;
   EXPECT_EQ(rig.dev.SubmitWrite(1, 0, Buffer::Allocate(100)).code(),
