@@ -52,6 +52,7 @@ class MtcpStack final : public Poller {
 
   bool Readable(int fd) const;
   HostCpu& host() { return *host_; }
+  NetStack& net() { return *net_; }  // test/stat access
 
   // Moves arrived stream data into per-fd staging with maturity timestamps.
   bool Poll() override;
@@ -59,6 +60,7 @@ class MtcpStack final : public Poller {
  private:
   struct FdEntry {
     enum class Kind { kFree, kSocket, kListener } kind = Kind::kFree;
+    std::uint64_t serial = 0;  // tells this socket from a later one on the same fd
     TcpConnection* conn = nullptr;
     TcpListener* listener = nullptr;
     std::uint16_t bound_port = 0;
@@ -75,6 +77,7 @@ class MtcpStack final : public Poller {
   std::unique_ptr<NetStack> net_;
   MtcpConfig config_;
   std::vector<FdEntry> fds_;
+  std::uint64_t next_serial_ = 1;
 };
 
 }  // namespace demi

@@ -114,7 +114,7 @@ Status CatmintQueue::StartPush(QToken token, const SgArray& sga) {
   if (sga.total_bytes() > libos_->config().max_element_bytes) {
     return InvalidArgument("element exceeds the connection's max element size");
   }
-  queued_pushes_.emplace_back(token, sga);
+  queued_pushes_.push_back({token, sga});
   return OkStatus();
 }
 
@@ -193,7 +193,7 @@ bool CatmintQueue::Progress(CompletionSink& sink) {
       sink.CompleteOp(wc.wr_id, std::move(res));
     } else if (wc.op == WorkCompletion::Op::kRecv) {
       if (wc.status.ok()) {
-        received_.emplace_back(SgArray(wc.payload));
+        received_.push_back(SgArray(wc.payload));
         (void)PostOneRecv();  // keep the provisioned pool constant
       }
       // A failed recv leaves the QP in error; pops below surface the reset.

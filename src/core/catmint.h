@@ -19,10 +19,10 @@
 #ifndef SRC_CORE_CATMINT_H_
 #define SRC_CORE_CATMINT_H_
 
-#include <deque>
 #include <memory>
 #include <string>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/hw/rdma.h"
 
@@ -76,9 +76,9 @@ class CatmintQueue final : public IoQueue {
   bool listening_ = false;
   bool provisioned_ = false;
   std::uint64_t next_recv_wr_ = 1;
-  std::deque<std::pair<QToken, SgArray>> queued_pushes_;  // waiting for send-queue room
-  std::deque<QToken> pending_pops_;
-  std::deque<SgArray> received_;  // completed messages not yet claimed by a pop
+  Fifo<std::pair<QToken, SgArray>> queued_pushes_;  // waiting for send-queue room
+  Fifo<QToken> pending_pops_;
+  Fifo<SgArray> received_;  // completed messages not yet claimed by a pop
 };
 
 }  // namespace demi

@@ -109,9 +109,13 @@ CatnipTcpQueue::CatnipTcpQueue(CatnipLibOS* libos, TcpConnection* conn,
 }
 
 CatnipTcpQueue::~CatnipTcpQueue() {
-  if (ready_hook_attached_ && conn_ != nullptr) {
+  if (conn_ == nullptr) {
+    return;
+  }
+  if (ready_hook_attached_) {
     conn_->set_on_ready(nullptr);  // the connection outlives us (stack-owned)
   }
+  libos_->stack().Release(conn_);  // the queue is its holder (DESIGN.md §8)
 }
 
 void CatnipTcpQueue::AttachReadyHook() {
@@ -193,6 +197,10 @@ Status CatnipTcpQueue::ConnectStatus() {
 Status CatnipTcpQueue::Close() {
   if (conn_ != nullptr) {
     conn_->Close();
+  }
+  if (listener_ != nullptr) {
+    libos_->stack().CloseListener(listener_);
+    listener_ = nullptr;
   }
   return OkStatus();
 }
@@ -405,7 +413,7 @@ bool CatnipSessionQueue::ProgressListener() {
   if (listener_ != nullptr) {
     while (TcpConnection* c = listener_->Accept()) {
       Embryo embryo;
-      embryo.transport.AttachFast(c);
+      embryo.transport.AttachFast(&libos_->stack(), c);
       embryos_.push_back(std::move(embryo));
       progress = true;
     }
@@ -527,7 +535,7 @@ void CatnipSessionQueue::BeginAttempt() {
     if (!libos_->stack().device_failed()) {
       auto conn = libos_->stack().TcpConnect(primary_remote_);
       if (conn.ok()) {
-        transport_.AttachFast(*conn);
+        transport_.AttachFast(&libos_->stack(), *conn);
         dialing = true;
       }
     }
@@ -1109,6 +1117,12 @@ TimeNs CatnipSessionQueue::OutageDeadline() const {
 }
 
 Status CatnipSessionQueue::Close() {
+  // A listener lets go of its port on both paths, resets the embryos it held and
+  // closes the queues it built that the application never accepted.
+  if (listener_ != nullptr) {
+    libos_->stack().CloseListener(listener_);
+    listener_ = nullptr;
+  }
   if (kernel_listen_fd_ >= 0 && libos_->kernel() != nullptr) {
     (void)libos_->kernel()->CloseFd(kernel_listen_fd_);
     kernel_listen_fd_ = -1;
@@ -1117,6 +1131,9 @@ Status CatnipSessionQueue::Close() {
     embryo.transport.Abort();
   }
   embryos_.clear();
+  for (std::unique_ptr<IoQueue>& queue : accept_ready_) {
+    (void)queue->Close();
+  }
   accept_ready_.clear();
   if (session_id_ != 0 && libos_->FindSession(session_id_) == this) {
     libos_->UnregisterSession(session_id_);
@@ -1139,7 +1156,7 @@ Status CatnipUdpQueue::Bind(std::uint16_t port) {
     return Status(ErrorCode::kAlreadyExists, "already bound");
   }
   RETURN_IF_ERROR(libos_->stack().UdpBind(port, [this](Endpoint from, Buffer payload) {
-    inbound_.emplace_back(from, std::move(payload));
+    inbound_.push_back({from, std::move(payload)});
   }));
   bound_port_ = port;
   bound_ = true;
@@ -1172,7 +1189,7 @@ Status CatnipUdpQueue::StartPush(QToken token, const SgArray& sga) {
   QResult res;
   res.op = OpType::kPush;
   res.status = status;
-  ready_.emplace_back(token, std::move(res));
+  ready_.push_back({token, std::move(res)});
   return OkStatus();
 }
 

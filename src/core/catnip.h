@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "src/common/fifo.h"
 #include "src/core/libos.h"
 #include "src/core/recovery.h"
 #include "src/core/stream_queue.h"
@@ -347,9 +348,9 @@ class CatnipUdpQueue final : public IoQueue {
   bool bound_ = false;
   Endpoint remote_;
   bool has_remote_ = false;
-  std::deque<std::pair<Endpoint, Buffer>> inbound_;
-  std::deque<QToken> pending_pops_;
-  std::deque<std::pair<QToken, QResult>> ready_;
+  Fifo<std::pair<Endpoint, Buffer>> inbound_;
+  Fifo<QToken> pending_pops_;
+  Fifo<std::pair<QToken, QResult>> ready_;
 };
 
 }  // namespace demi

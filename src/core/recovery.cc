@@ -194,7 +194,11 @@ SgArray StripBytes(const SgArray& body, std::size_t n) {
 // --- FailoverTransport ----------------------------------------------------------
 
 FailoverTransport::FailoverTransport(FailoverTransport&& other) noexcept
-    : kind_(other.kind_), conn_(other.conn_), kernel_(other.kernel_), fd_(other.fd_) {
+    : kind_(other.kind_),
+      stack_(other.stack_),
+      conn_(other.conn_),
+      kernel_(other.kernel_),
+      fd_(other.fd_) {
   other.Detach();
 }
 
@@ -202,6 +206,7 @@ FailoverTransport& FailoverTransport::operator=(FailoverTransport&& other) noexc
   if (this != &other) {
     Reset();  // close whatever this held
     kind_ = other.kind_;
+    stack_ = other.stack_;
     conn_ = other.conn_;
     kernel_ = other.kernel_;
     fd_ = other.fd_;
@@ -210,16 +215,24 @@ FailoverTransport& FailoverTransport::operator=(FailoverTransport&& other) noexc
   return *this;
 }
 
+FailoverTransport::~FailoverTransport() {
+  if (kind_ == Kind::kFast) {
+    stack_->Release(conn_);
+  }
+}
+
 void FailoverTransport::Detach() {
   kind_ = Kind::kNone;
+  stack_ = nullptr;
   conn_ = nullptr;
   kernel_ = nullptr;
   fd_ = -1;
 }
 
-void FailoverTransport::AttachFast(TcpConnection* conn) {
+void FailoverTransport::AttachFast(NetStack* stack, TcpConnection* conn) {
   Reset();
   kind_ = Kind::kFast;
+  stack_ = stack;
   conn_ = conn;
 }
 
@@ -250,9 +263,10 @@ void FailoverTransport::Reset() {
     case Kind::kNone:
       break;
     case Kind::kFast:
-      if (conn_ != nullptr && !conn_->dead()) {
+      if (!conn_->dead()) {
         conn_->Close();
       }
+      stack_->Release(conn_);
       break;
     case Kind::kLegacy:
       if (kernel_ != nullptr && fd_ >= 0) {
@@ -267,6 +281,9 @@ void FailoverTransport::Abort() {
   TcpConnection* c = Conn();
   if (c != nullptr && !c->dead()) {
     c->Abort();
+  }
+  if (kind_ == Kind::kFast) {
+    stack_->Release(conn_);
   }
   if (kind_ == Kind::kLegacy && kernel_ != nullptr && fd_ >= 0) {
     (void)kernel_->CloseFd(fd_);

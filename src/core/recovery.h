@@ -198,7 +198,8 @@ SgArray StripBytes(const SgArray& body, std::size_t n);
 // One byte-stream endpoint that is either a fast-path user-level TCP connection
 // (Catnip's NetStack) or a legacy kernel socket fd. The recovery state machine swaps
 // the backing transport across failover/re-promotion; the queue above it only sees
-// Write/Recv/established/dead.
+// Write/Recv/established/dead. The transport holds its fast-path connection
+// (DESIGN.md §8): Reset, Abort and destruction release it to the stack.
 class FailoverTransport {
  public:
   enum class Kind : std::uint8_t { kNone, kFast, kLegacy };
@@ -210,8 +211,11 @@ class FailoverTransport {
   FailoverTransport& operator=(FailoverTransport&& other) noexcept;
   FailoverTransport(const FailoverTransport&) = delete;
   FailoverTransport& operator=(const FailoverTransport&) = delete;
+  // Releases a fast-path connection without closing it; a legacy fd stays open
+  // (closing it would charge a crossing).
+  ~FailoverTransport();
 
-  void AttachFast(TcpConnection* conn);
+  void AttachFast(NetStack* stack, TcpConnection* conn);
   // Starts a legacy connect through `kernel` (non-blocking, like connect(2)).
   Status ConnectLegacy(SimKernel* kernel, Endpoint remote);
   // Adopts an already-accepted kernel socket.
@@ -222,8 +226,9 @@ class FailoverTransport {
   // uses this so the peer sees an outage — never a clean close it would mistake for
   // end-of-stream.
   void Abort();
-  // Detaches and returns the fast-path connection without closing it (embryo ->
-  // plain-queue handoff). Null unless kind() == kFast.
+  // Detaches and returns the fast-path connection without closing or releasing it:
+  // the caller becomes its holder (embryo -> plain-queue handoff). Null unless
+  // kind() == kFast.
   TcpConnection* ReleaseFast();
 
   Kind kind() const { return kind_; }
@@ -254,6 +259,7 @@ class FailoverTransport {
   void Detach();
 
   Kind kind_ = Kind::kNone;
+  NetStack* stack_ = nullptr;      // fast path
   TcpConnection* conn_ = nullptr;  // fast path
   SimKernel* kernel_ = nullptr;    // legacy path
   int fd_ = -1;

@@ -38,7 +38,6 @@ struct NicConfig {
   int num_queues = 1;
   std::size_t ring_size = 256;    // per-queue RX/TX descriptor ring slots
   bool supports_offload = false;  // SmartNIC: can run filter/map programs on-device
-  bool checksum_offload = true;   // stack may skip software checksum work
 };
 
 // A packet program the NIC can run on the device (or that a libOS runs on the CPU).

@@ -242,8 +242,13 @@ Status SimKernel::CloseFd(int fd) {
   if (e == nullptr) {
     return BadDescriptor("close");
   }
+  // The fd holds its connection or listener: closing it lets go (DESIGN.md §8).
   if (e->kind == FdEntry::Kind::kSocket && e->conn != nullptr) {
     e->conn->Close();
+    net_->Release(e->conn);
+  }
+  if (e->kind == FdEntry::Kind::kListener) {
+    net_->CloseListener(e->listener);
   }
   if (e->kind == FdEntry::Kind::kEpoll) {
     epolls_.erase(fd);

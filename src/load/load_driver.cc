@@ -142,6 +142,8 @@ void LoadDriver::OnClientDead(std::size_t i) {
     return;
   }
   c.dead = true;
+  // The driver holds the connection from connect to death (DESIGN.md §8).
+  client_stacks_[i % cfg_.client_stacks]->Release(c.tcp);
   c.tcp = nullptr;
   CancelTimer(c.arrival);
   lost_in_flight_ += c.pending.size();

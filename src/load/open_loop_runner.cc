@@ -11,11 +11,6 @@ namespace {
 
 const Ipv4Address kServerIp = Ipv4Address::FromOctets(10, 0, 0, 1);
 constexpr std::uint16_t kServerBasePort = 5000;
-// Reap dead connections once this many have piled up on a stack. ReapClosed is
-// O(live), so at 10^6 connections reaping every handful of deaths would be
-// quadratic; this threshold amortizes the sweep.
-constexpr std::size_t kReapThreshold = 65'536;
-
 std::uint64_t MixSeed(std::uint64_t seed, std::uint64_t salt) {
   std::uint64_t x = seed ^ (salt * 0x9e3779b97f4a7c15ull);
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -121,18 +116,6 @@ bool OpenLoopRunner::Poll() {
       did = true;
     }
   }
-  // Amortized reaping from a top-level context (never from inside a callback):
-  // each sweep is O(live), so trigger it once per kReapThreshold deaths.
-  if (server_stack_->closed_unreaped() > kReapThreshold) {
-    server_stack_->ReapClosed();
-    did = true;
-  }
-  for (std::size_t s = 0; s < client_stack_count(); ++s) {
-    if (client_stack(s).closed_unreaped() > kReapThreshold) {
-      client_stack(s).ReapClosed();
-      did = true;
-    }
-  }
   return did;
 }
 
@@ -143,7 +126,9 @@ void OpenLoopRunner::OnServerReady(TcpConnection* tc) {
   }
   SrvConn& sc = it->second;
   if (tc->dead()) {
+    // The server map holds each accepted connection until it dies (DESIGN.md §8).
     srv_conns_.erase(it);
+    server_stack_->Release(tc);
     return;
   }
   while (tc->readable()) {

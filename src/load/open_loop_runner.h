@@ -10,8 +10,7 @@
 //
 // The server speaks raw bytes: every request is exactly `request_bytes` long and
 // its first 4 bytes name the response length; responses are counted by length.
-// The only Poller is the server's accept-queue drain (plus amortized reaping of
-// closed connections on every stack).
+// The only Poller is the server's accept-queue drain.
 
 #ifndef SRC_LOAD_OPEN_LOOP_RUNNER_H_
 #define SRC_LOAD_OPEN_LOOP_RUNNER_H_
@@ -80,7 +79,7 @@ class OpenLoopRunner final : public LoadDriver, public Poller {
   explicit OpenLoopRunner(OpenLoopConfig cfg);
   ~OpenLoopRunner() override;
 
-  // Server-side accept drain + amortized connection reaping.
+  // Server-side accept drain.
   bool Poll() override;
 
   std::uint64_t accepted_connections() const override { return accepted_; }

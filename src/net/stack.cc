@@ -21,6 +21,9 @@ NetStack::~NetStack() {
   // Ready callbacks are dropped first: the applications they point into may be
   // tearing down alongside the stack, and teardown aborts are not events.
   for (auto& c : conns_) {
+    if (c == nullptr) {
+      continue;
+    }
     c->set_on_ready(nullptr);
     if (!c->closed()) {
       c->Abort();
@@ -49,6 +52,7 @@ Buffer NetStack::AllocateHeader(std::size_t size) {
 }
 
 bool NetStack::Poll() {
+  FreeClosedReleased();
   if (nic_->failed() && !device_failed_) {
     device_failed_ = true;
     // The NIC is gone for good: no retransmission can ever be acknowledged. Abort every
@@ -56,7 +60,7 @@ bool NetStack::Poll() {
     // send-queue/in-flight buffer references are dropped. Staged frames can never be
     // posted either; dropping them releases their payload references (§4.5).
     for (auto& c : conns_) {
-      if (!c->closed()) {
+      if (c != nullptr && !c->closed()) {
         c->Abort();
       }
     }
@@ -319,6 +323,34 @@ Result<TcpListener*> NetStack::TcpListen(std::uint16_t port) {
   return out;
 }
 
+void NetStack::CloseListener(TcpListener* listener) {
+  const std::uint16_t port = listener->port();
+  auto lit = listeners_.find(port);
+  DEMI_CHECK(lit != listeners_.end() && lit->second.get() == listener);
+  if (!config_.rss_steering) {
+    nic_->RemoveSteeringRule(kIpProtoTcp, port);
+  }
+  // The listener held these connections and nobody else will: reset each, embryos
+  // in creation order and then the accept queue in arrival order, so the RSTs leave
+  // in an order that never depends on heap addresses. An aborted embryo is let go in
+  // OnTcpClosed; the accepted ones are released here.
+  std::vector<TcpConnection*> embryos;
+  for (std::size_t i = 0; embryos.size() < listener->embryos_ && i < conns_.size(); ++i) {
+    TcpConnection* c = conns_[i].get();
+    if (auto eit = embryos_.find(c); eit != embryos_.end() && eit->second == listener) {
+      embryos.push_back(c);
+    }
+  }
+  for (TcpConnection* c : embryos) {
+    c->Abort();
+  }
+  for (TcpConnection* c : listener->accept_queue_) {
+    c->Abort();
+    Release(c);
+  }
+  listeners_.erase(lit);
+}
+
 std::uint16_t NetStack::AllocateEphemeralPort(const Endpoint& remote) {
   const auto base = static_cast<std::uint16_t>(49152 + config_.nic_queue * 2048);
   const auto limit = static_cast<std::uint16_t>(base + 2047);
@@ -345,9 +377,41 @@ Result<TcpConnection*> NetStack::TcpConnect(Endpoint remote) {
   TcpConnection* out = conn.get();
   nic_->AddSteeringRule(kIpProtoTcp, port, config_.nic_queue);
   flow_table_.Insert(port, remote, out);
-  conns_.push_back(std::move(conn));
+  AddConnection(std::move(conn));
   out->StartActiveOpen();
   return out;
+}
+
+void NetStack::AddConnection(std::unique_ptr<TcpConnection> conn) {
+  conn->slot_ = static_cast<std::uint32_t>(conns_.size());
+  conns_.push_back(std::move(conn));
+}
+
+void NetStack::Release(TcpConnection* conn) {
+  DEMI_CHECK(!conn->released_);
+  conn->released_ = true;
+  if (conn->closed()) {
+    closed_released_.push_back(conn);
+  }
+}
+
+void NetStack::FreeClosedReleased() {
+  if (closed_released_.empty()) {
+    return;
+  }
+  for (TcpConnection* c : closed_released_) {
+    conns_[c->slot_].reset();
+  }
+  free_slots_ += closed_released_.size();
+  closed_released_.clear();
+  if (2 * free_slots_ <= conns_.size()) {
+    return;
+  }
+  std::erase(conns_, nullptr);
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    conns_[i]->slot_ = static_cast<std::uint32_t>(i);
+  }
+  free_slots_ = 0;
 }
 
 void NetStack::SendRst(const Ipv4Header& ip, const TcpHeader& h, std::size_t payload_len) {
@@ -377,16 +441,12 @@ void NetStack::HandleTcp(const Ipv4Header& ip, Buffer l4) {
   if (TcpConnection* conn = flow_table_.Find(h->dst_port, peer); conn != nullptr) {
     conn->OnSegment(*h, std::move(payload));
     // Embryo promotion: passive connections reach the accept queue once established.
-    if (auto eit = embryos_.find(conn); eit != embryos_.end()) {
-      if (conn->established()) {
-        TcpListener* listener = eit->second;
-        --listener->embryos_;
-        listener->accept_queue_.push_back(conn);
-        embryos_.erase(eit);
-      } else if (conn->closed()) {
-        --eit->second->embryos_;
-        embryos_.erase(eit);
-      }
+    // (An embryo that died left embryos_ in OnTcpClosed.)
+    if (auto eit = embryos_.find(conn); eit != embryos_.end() && conn->established()) {
+      TcpListener* listener = eit->second;
+      --listener->embryos_;
+      listener->accept_queue_.push_back(conn);
+      embryos_.erase(eit);
     }
     return;
   }
@@ -403,7 +463,7 @@ void NetStack::HandleTcp(const Ipv4Header& ip, Buffer l4) {
                                                   peer, /*active_open=*/false, iss);
       TcpConnection* raw = conn.get();
       flow_table_.Insert(h->dst_port, peer, raw);
-      conns_.push_back(std::move(conn));
+      AddConnection(std::move(conn));
       embryos_[raw] = listener;
       ++listener->embryos_;
       raw->OnSegment(*h, std::move(payload));
@@ -433,30 +493,16 @@ void NetStack::SendSegment(Ipv4Address dst, FrameChain segment) {
 
 void NetStack::OnTcpClosed(TcpConnection* conn) {
   flow_table_.Erase(conn->local().port, conn->remote());
-  ++closed_unreaped_;
   if (auto eit = embryos_.find(conn); eit != embryos_.end()) {
+    // An embryo that dies before it is accepted has no holder but its listener,
+    // which lets go of it here.
     --eit->second->embryos_;
     embryos_.erase(eit);
+    conn->released_ = true;
   }
-}
-
-void NetStack::ReapClosed() {
-  // The previous batch has survived one full sweep interval; any pointers the
-  // application held at close time are stale by now. Destroy it before collecting
-  // the next batch so graveyard memory stays bounded under sustained churn.
-  graveyard_.clear();
-  // Swap-and-pop keeps the sweep O(live) instead of O(live * closed); the live
-  // vector's order is not part of the stack's contract.
-  for (std::size_t i = 0; i < conns_.size();) {
-    if (conns_[i]->closed()) {
-      graveyard_.push_back(std::move(conns_[i]));
-      conns_[i] = std::move(conns_.back());
-      conns_.pop_back();
-    } else {
-      ++i;
-    }
+  if (conn->released_) {
+    closed_released_.push_back(conn);
   }
-  closed_unreaped_ = 0;
 }
 
 }  // namespace demi

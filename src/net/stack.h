@@ -82,17 +82,25 @@ class NetStack final : public Poller, public TcpIo {
   Status UdpSend(std::uint16_t src_port, Endpoint dst, std::span<const Buffer> payload_parts);
 
   // --- TCP ---
+  //
+  // Connection lifetime (DESIGN.md §8): the stack owns every TcpConnection, and each
+  // has exactly one holder at a time. TcpConnect's caller holds what it returns;
+  // a listener holds its embryos and its accepted-but-unclaimed connections, and
+  // TcpListener::Accept hands one on to the caller. The holder calls Release once it
+  // is done with the connection, and the stack frees it at its first Poll after it
+  // is both CLOSED and released. Freeing charges no simulated time, schedules
+  // nothing and is never poll progress; it never happens inside a TcpConnection call.
   Result<TcpListener*> TcpListen(std::uint16_t port);
+  // Stops listening on the listener's port: the port and its steering rule are free
+  // again, and the embryos and unclaimed connections the listener held are reset and
+  // released. The listener is destroyed.
+  void CloseListener(TcpListener* listener);
   Result<TcpConnection*> TcpConnect(Endpoint remote);
-  // Sweeps fully closed connections out of the live set; call occasionally in long
-  // runs (e.g. when closed_unreaped() crosses a threshold — each call is O(live
-  // connections), so amortize it). Swept connections move to a one-batch graveyard
-  // and are destroyed on the *next* call, so pointers an application still holds
-  // from the previous batch stay valid across the sweep that collects them.
-  void ReapClosed();
-  // Connections that reached CLOSED since the last ReapClosed() sweep.
-  std::size_t closed_unreaped() const { return closed_unreaped_; }
-  std::size_t live_connections() const { return conns_.size(); }
+  // The holder lets go of `conn`. It may still be open (a graceful close still
+  // draining, or never closed); the stack frees it once it reaches CLOSED.
+  void Release(TcpConnection* conn);
+  // Connections allocated: open ones, and CLOSED ones not yet released or freed.
+  std::size_t live_connections() const { return conns_.size() - free_slots_; }
   const FlowTable& flow_table() const { return flow_table_; }
 
   // --- TcpIo ---
@@ -147,6 +155,9 @@ class NetStack final : public Poller, public TcpIo {
   // candidate via the flow table, against the old O(live flows) scan.
   std::uint16_t AllocateEphemeralPort(const Endpoint& remote);
   void SendRst(const Ipv4Header& ip, const TcpHeader& h, std::size_t payload_len);
+  void AddConnection(std::unique_ptr<TcpConnection> conn);
+  // Frees the connections that are CLOSED and released; called first thing in Poll.
+  void FreeClosedReleased();
 
   HostCpu* host_;
   SimNic* nic_;
@@ -159,9 +170,13 @@ class NetStack final : public Poller, public TcpIo {
   std::unordered_map<std::uint16_t, std::unique_ptr<TcpListener>> listeners_;
   FlowTable flow_table_;  // demultiplexes RX segments; flat and O(1) at 10^6 flows
   std::unordered_map<TcpConnection*, TcpListener*> embryos_;
-  std::vector<std::unique_ptr<TcpConnection>> conns_;      // owns live connections
-  std::vector<std::unique_ptr<TcpConnection>> graveyard_;  // closed, freed next sweep
-  std::size_t closed_unreaped_ = 0;
+  // Every allocated connection, in creation order, which the device-failure abort
+  // and teardown walk: it must never follow heap addresses. A freed connection
+  // leaves a null slot; once half the slots are null they are compacted away,
+  // keeping the order, so each free costs O(1) amortized.
+  std::vector<std::unique_ptr<TcpConnection>> conns_;
+  std::size_t free_slots_ = 0;
+  std::vector<TcpConnection*> closed_released_;  // freed at the next Poll
   std::uint16_t next_ephemeral_ = 49152;
   std::vector<FrameChain> tx_staged_;  // outbound frames awaiting the next burst flush
   std::vector<Buffer> rx_scratch_;     // reused RX burst landing area (no per-poll alloc)

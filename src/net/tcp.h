@@ -88,13 +88,17 @@ class TcpIo {
   virtual Simulation& sim() = 0;
   virtual HostCpu& host() = 0;
   virtual const TcpConfig& tcp_config() const = 0;
-  // Notifies that `conn` reached CLOSED and may be reaped.
+  // Notifies that `conn` reached CLOSED. The stack frees it once its holder has
+  // released it too, never inside this call.
   virtual void OnTcpClosed(class TcpConnection* conn) = 0;
 };
 
+// Owned by its stack, which frees it once it is both CLOSED and released by its one
+// holder (NetStack::Release; DESIGN.md §8). A holder must not touch the connection
+// after releasing it; a ready callback it left set may still run until the free.
 class TcpConnection {
  public:
-  enum class State {
+  enum class State : std::uint8_t {
     kListen,  // only used by listener-embryo bookkeeping
     kSynSent,
     kSynReceived,
@@ -185,6 +189,8 @@ class TcpConnection {
   std::uint64_t retransmits() const { return retransmits_; }
 
  private:
+  friend class NetStack;  // keeps released_ and slot_
+
   bool recv_eof_ready() const { return fin_received_ && recv_ready_bytes_ == 0; }
   // Why the application may not queue data now; ok when it may.
   Status WritableStatus() const;
@@ -236,6 +242,11 @@ class TcpConnection {
   Endpoint remote_;
   State state_;
   bool reset_ = false;
+  // Owner-release bookkeeping, kept by the stack in what would be padding (the
+  // connection stays 384 B with gcc 12): whether the holder let go, and the
+  // connection's index in the stack's creation-ordered table.
+  bool released_ = false;
+  std::uint32_t slot_ = 0;
 
   // Send state.
   std::uint32_t iss_;
@@ -288,7 +299,8 @@ class TcpConnection {
   ReadyFn on_ready_;
 };
 
-// A passive listener. Owned by the stack.
+// A passive listener. Owned by the stack; it holds its embryos and its established
+// connections until Accept hands one on (NetStack::CloseListener resets the rest).
 class TcpListener {
  public:
   TcpListener(std::uint16_t port, std::size_t backlog) : port_(port), backlog_(backlog) {}
@@ -296,7 +308,7 @@ class TcpListener {
   std::uint16_t port() const { return port_; }
   std::size_t pending() const { return accept_queue_.size(); }
 
-  // Pops one fully established connection, or nullptr.
+  // Pops one fully established connection, or nullptr. The caller becomes its holder.
   TcpConnection* Accept() {
     if (accept_queue_.empty()) {
       return nullptr;

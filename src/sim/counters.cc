@@ -1,113 +1,71 @@
 #include "src/sim/counters.h"
 
 #include <cstdio>
+#include <iterator>
 
 namespace demi {
 
+namespace {
+
+// Indexed by Counter: one name per counter, in declaration order.
+constexpr std::string_view kCounterNames[] = {
+    "syscalls",
+    "libos_calls",
+    "copies",
+    "bytes_copied",
+    "interrupts",
+    "context_switches",
+    "wakeups",
+    "spurious_wakeups",
+    "packets_tx",
+    "packets_rx",
+    "packets_dropped",
+    "retransmissions",
+    "doorbells",
+    "tx_bursts",
+    "frames_per_doorbell",
+    "delayed_acks",
+    "acks_coalesced",
+    "dma_ops",
+    "mem_registrations",
+    "bytes_pinned",
+    "nvme_ops",
+    "device_compute_ns",
+    "host_cpu_ns",
+    "kv_requests",
+    "stream_scans",
+    "faults_injected",
+    "ops_failed",
+    "link_flaps",
+    "failovers",
+    "fast_path_repromotions",
+    "retries_attempted",
+    "retry_giveups",
+    "breaker_trips",
+    "buffer_allocs",
+    "header_pool_hits",
+    "header_pool_misses",
+    "capability_violations",
+    "doorbells_throttled",
+    "descriptors_throttled",
+    "steal_attempts",
+    "completions_stolen",
+    "steal_aborts",
+    "pushdown_chains",
+    "pushdown_steps",
+    "block_host_completions",
+    "promotions",
+    "demotions",
+    "fastcall_crossings",
+    "accepts_batched",
+};
+static_assert(std::size(kCounterNames) == kNumCounters, "one name per Counter");
+
+}  // namespace
+
 std::string_view CounterName(Counter c) {
-  switch (c) {
-    case Counter::kSyscalls:
-      return "syscalls";
-    case Counter::kLibosCalls:
-      return "libos_calls";
-    case Counter::kCopies:
-      return "copies";
-    case Counter::kBytesCopied:
-      return "bytes_copied";
-    case Counter::kInterrupts:
-      return "interrupts";
-    case Counter::kContextSwitches:
-      return "context_switches";
-    case Counter::kWakeups:
-      return "wakeups";
-    case Counter::kSpuriousWakeups:
-      return "spurious_wakeups";
-    case Counter::kPacketsTx:
-      return "packets_tx";
-    case Counter::kPacketsRx:
-      return "packets_rx";
-    case Counter::kPacketsDropped:
-      return "packets_dropped";
-    case Counter::kRetransmissions:
-      return "retransmissions";
-    case Counter::kDoorbells:
-      return "doorbells";
-    case Counter::kTxBursts:
-      return "tx_bursts";
-    case Counter::kFramesPerDoorbell:
-      return "frames_per_doorbell";
-    case Counter::kDelayedAcks:
-      return "delayed_acks";
-    case Counter::kAcksCoalesced:
-      return "acks_coalesced";
-    case Counter::kDmaOps:
-      return "dma_ops";
-    case Counter::kMemRegistrations:
-      return "mem_registrations";
-    case Counter::kBytesPinned:
-      return "bytes_pinned";
-    case Counter::kNvmeOps:
-      return "nvme_ops";
-    case Counter::kDeviceComputeNs:
-      return "device_compute_ns";
-    case Counter::kHostCpuNs:
-      return "host_cpu_ns";
-    case Counter::kKvRequests:
-      return "kv_requests";
-    case Counter::kStreamScans:
-      return "stream_scans";
-    case Counter::kFaultsInjected:
-      return "faults_injected";
-    case Counter::kOpsFailed:
-      return "ops_failed";
-    case Counter::kLinkFlaps:
-      return "link_flaps";
-    case Counter::kFailovers:
-      return "failovers";
-    case Counter::kFastPathRepromotions:
-      return "fast_path_repromotions";
-    case Counter::kRetriesAttempted:
-      return "retries_attempted";
-    case Counter::kRetryGiveups:
-      return "retry_giveups";
-    case Counter::kBreakerTrips:
-      return "breaker_trips";
-    case Counter::kBufferAllocs:
-      return "buffer_allocs";
-    case Counter::kHeaderPoolHits:
-      return "header_pool_hits";
-    case Counter::kHeaderPoolMisses:
-      return "header_pool_misses";
-    case Counter::kCapabilityViolations:
-      return "capability_violations";
-    case Counter::kDoorbellsThrottled:
-      return "doorbells_throttled";
-    case Counter::kDescriptorsThrottled:
-      return "descriptors_throttled";
-    case Counter::kStealAttempts:
-      return "steal_attempts";
-    case Counter::kCompletionsStolen:
-      return "completions_stolen";
-    case Counter::kStealAborts:
-      return "steal_aborts";
-    case Counter::kPushdownChains:
-      return "pushdown_chains";
-    case Counter::kPushdownSteps:
-      return "pushdown_steps";
-    case Counter::kBlockHostCompletions:
-      return "block_host_completions";
-    case Counter::kPromotions:
-      return "promotions";
-    case Counter::kDemotions:
-      return "demotions";
-    case Counter::kFastcallCrossings:
-      return "fastcall_crossings";
-    case Counter::kAcceptsBatched:
-      return "accepts_batched";
-    case Counter::kNumCounters:
-      break;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(c);
+  return i < kNumCounters ? kCounterNames[i] : "?";
 }
 
 std::string Counters::Describe(std::string_view indent) const {

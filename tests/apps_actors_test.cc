@@ -114,12 +114,13 @@ TEST(EchoActorsTest, PosixServerClosesAConnectionAtEof) {
   PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 20);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   ASSERT_FALSE(client.failed());
-  EXPECT_EQ(sh.kernel->net()->closed_unreaped(), 0u);
+  EXPECT_EQ(sh.kernel->net()->live_connections(), 1u);
   const std::uint64_t syscalls = sh.cpu->counters().Get(Counter::kSyscalls);
   h.sim().RunFor(10 * kMillisecond);
   // The client's FIN wakes the server: epoll_wait, the EOF read, epoll_ctl DEL, close.
   EXPECT_EQ(sh.cpu->counters().Get(Counter::kSyscalls) - syscalls, 4u);
-  EXPECT_EQ(sh.kernel->net()->closed_unreaped(), 1u);
+  // The close released the server's end, which the client's last ACK then closed.
+  EXPECT_EQ(sh.kernel->net()->live_connections(), 0u);
 }
 
 TEST(EchoActorsTest, MtcpServerClosesAConnectionAtEof) {
@@ -135,11 +136,11 @@ TEST(EchoActorsTest, MtcpServerClosesAConnectionAtEof) {
   PosixEchoClient client(ch.kernel.get(), Endpoint{sh.ip, kPort}, 64, 20);
   ASSERT_TRUE(h.RunUntil([&] { return client.done(); }, 120 * kSecond));
   ASSERT_FALSE(client.failed());
-  EXPECT_EQ(ch.kernel->net()->closed_unreaped(), 0u);
+  EXPECT_EQ(ch.kernel->net()->live_connections(), 1u);
   h.sim().RunFor(10 * kMillisecond);
-  // Only the server's close answers the client's FIN, so the client's side can reach
-  // CLOSED.
-  EXPECT_EQ(ch.kernel->net()->closed_unreaped(), 1u);
+  // Only the server's close answers the client's FIN, so the client's side, which
+  // its close released, can pass TIME_WAIT to CLOSED and be freed.
+  EXPECT_EQ(ch.kernel->net()->live_connections(), 0u);
 }
 
 TEST(EchoActorsTest, LatencyOrderingMatchesArchitectures) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -242,6 +243,40 @@ void ExpectReplyReachesHalfClosedPeer(TestHarness& h, LibOS& server,
       },
       h.sim().now() + kSecond);
   EXPECT_EQ(got, reply);
+}
+
+// Closing a listening queue frees its port: the connection it held but never handed
+// to the application is reset, a connect to the port is refused, the port can be
+// listened on again, and the server's stack holds no connection for any of it.
+void ExpectClosedListenerFreesItsPort(TestHarness& h, LibOS& server, LibOS& client,
+                                      Ipv4Address server_ip,
+                                      const std::function<std::size_t()>& server_live) {
+  const std::size_t baseline = server_live();
+  const QDesc listen_qd = *server.Socket();
+  ASSERT_TRUE(server.Bind(listen_qd, kPort).ok());
+  ASSERT_TRUE(server.Listen(listen_qd).ok());
+  const QDesc unclaimed = *client.Socket();
+  auto connected =
+      client.Wait(*client.ConnectAsync(unclaimed, Endpoint{server_ip, kPort}), kSecond);
+  ASSERT_TRUE(connected.ok() && connected->status.ok());
+  const QToken pop = *client.Pop(unclaimed);
+
+  ASSERT_TRUE(server.Close(listen_qd).ok());
+  auto popped = client.Wait(pop, kSecond);
+  ASSERT_TRUE(popped.ok());
+  EXPECT_EQ(popped->status.code(), ErrorCode::kConnectionReset) << popped->status;
+
+  const QDesc late = *client.Socket();
+  auto refused =
+      client.Wait(*client.ConnectAsync(late, Endpoint{server_ip, kPort}), kSecond);
+  ASSERT_TRUE(refused.ok());
+  EXPECT_FALSE(refused->status.ok()) << "a closed listener completed a handshake";
+  h.sim().RunFor(kMillisecond);
+  EXPECT_EQ(server_live(), baseline);
+
+  const QDesc again = *server.Socket();
+  ASSERT_TRUE(server.Bind(again, kPort).ok());
+  EXPECT_TRUE(server.Listen(again).ok());
 }
 
 // --- Catnip ---
@@ -559,6 +594,16 @@ TEST(CatnipTest, UdpDatagramIsOneElement) {
   EXPECT_EQ(r->sga.ToString(), "datagram payload");
 }
 
+TEST(CatnipTest, ClosedListenerFreesItsPort) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnip(sh);
+  auto& client = h.Catnip(ch);
+  ExpectClosedListenerFreesItsPort(h, server, client, sh.ip,
+                                   [&] { return server.stack().live_connections(); });
+}
+
 // --- Catnip recovery sessions ---
 
 HostOptions SessionHostOptions() {
@@ -711,6 +756,16 @@ TEST(CatnapTest, RepliesToAPeerThatClosedItsSide) {
   auto& ch = h.AddHost("client", "10.0.0.2");
   auto& server = h.Catnap(sh);
   ExpectReplyReachesHalfClosedPeer(h, server, ch, sh.ip);
+}
+
+TEST(CatnapTest, ClosedListenerFreesItsPort) {
+  TestHarness h;
+  auto& sh = h.AddHost("server", "10.0.0.1");
+  auto& ch = h.AddHost("client", "10.0.0.2");
+  auto& server = h.Catnap(sh);
+  auto& client = h.Catnap(ch);
+  ExpectClosedListenerFreesItsPort(h, server, client, sh.ip,
+                                   [&] { return sh.kernel->net()->live_connections(); });
 }
 
 // --- interop: same application protocol across libOSes (§5.2 framing) ---

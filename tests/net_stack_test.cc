@@ -181,24 +181,80 @@ TEST(MultiStackTest, EphemeralPortRangesArePartitionedByQueue) {
   EXPECT_NE((*c0)->local().port, (*c1)->local().port);
 }
 
-TEST(StackLifetimeTest, ReapClosedMovesDeadConnections) {
+// Connects stack_a to a listener on stack_b and returns both ends once the server
+// side has been accepted.
+std::pair<TcpConnection*, TcpConnection*> ConnectPair(TwoStackRig& rig,
+                                                      std::uint16_t port) {
+  auto listener = rig.stack_b.TcpListen(port);
+  EXPECT_TRUE(listener.ok());
+  auto client = rig.stack_a.TcpConnect(Endpoint{rig.stack_b.ip(), port});
+  EXPECT_TRUE(client.ok());
+  // The server side finishes the handshake after the client's established().
+  EXPECT_TRUE(
+      rig.sim.RunUntil([&] { return (*listener)->pending() > 0; }, 10 * kSecond));
+  return {*client, (*listener)->Accept()};
+}
+
+// The active closer lets go at once; its connection lives on through FIN_WAIT and
+// TIME_WAIT, and the stack frees it when TIME_WAIT expires. The server end, which
+// nobody released, stays allocated after it reaches CLOSED.
+TEST(StackLifetimeTest, ReleasedBeforeClosedIsFreedWhenTimeWaitEnds) {
   TwoStackRig rig;
-  auto listener = rig.stack_b.TcpListen(7000);
-  ASSERT_TRUE(listener.ok());
-  auto conn = rig.stack_a.TcpConnect(Endpoint{rig.stack_b.ip(), 7000});
-  ASSERT_TRUE(conn.ok());
-  // Wait for the server side to finish the handshake (the final ACK trails the
-  // client's established()).
+  auto [client, server] = ConnectPair(rig, 7000);
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(rig.stack_a.live_connections(), 1u);
+  client->Close();
+  rig.stack_a.Release(client);
+  ASSERT_TRUE(rig.sim.RunUntil([&] { return server->recv_eof(); }, kSecond));
+  server->Close();
+  // The server, in LAST_ACK, reaches CLOSED when the client's last ACK arrives,
+  // which the client sends on entering TIME_WAIT.
+  ASSERT_TRUE(rig.sim.RunUntil([&] { return server->closed(); }, kSecond));
+  EXPECT_EQ(rig.stack_a.live_connections(), 1u) << "freed before TIME_WAIT expired";
+  rig.sim.RunFor(2 * TcpConfig{}.time_wait_ns);
+  EXPECT_EQ(rig.stack_a.live_connections(), 0u);
+  EXPECT_EQ(rig.stack_b.live_connections(), 1u);
+}
+
+// CLOSED alone frees nothing: until its holder releases it, a closed connection keeps
+// the bytes nobody read, however many polls pass.
+TEST(StackLifetimeTest, ClosedUnreleasedConnectionStaysReadable) {
+  TwoStackRig rig;
+  auto [client, server] = ConnectPair(rig, 7001);
+  ASSERT_NE(server, nullptr);
+  ASSERT_TRUE(client->Send(Buffer::CopyOf("unread")).ok());
+  client->Close();
+  ASSERT_TRUE(rig.sim.RunUntil([&] { return server->recv_available() == 6; }, kSecond));
+  server->Close();
   ASSERT_TRUE(
-      rig.sim.RunUntil([&] { return listener.value()->pending() > 0; }, 10 * kSecond));
-  TcpConnection* server_conn = listener.value()->Accept();
-  ASSERT_NE(server_conn, nullptr);
-  (*conn)->Close();
-  server_conn->Close();
-  ASSERT_TRUE(rig.sim.RunUntil(
-      [&] { return (*conn)->closed() && server_conn->closed(); }, 60 * kSecond));
-  rig.stack_a.ReapClosed();  // must not crash or double-free
-  rig.stack_b.ReapClosed();
+      rig.sim.RunUntil([&] { return server->closed() && client->closed(); }, kSecond));
+  rig.sim.RunFor(100 * kMillisecond);
+  EXPECT_EQ(rig.stack_b.live_connections(), 1u);
+  EXPECT_EQ(server->Recv(64).ToString(), "unread");
+  EXPECT_TRUE(server->recv_eof());
+  rig.stack_a.Release(client);
+  rig.stack_b.Release(server);
+  rig.sim.RunFor(kMillisecond);
+  EXPECT_EQ(rig.stack_a.live_connections(), 0u);
+  EXPECT_EQ(rig.stack_b.live_connections(), 0u);
+}
+
+// An embryo's only holder is its listener: one that is reset before the handshake
+// completes is freed without anyone releasing it.
+TEST(StackLifetimeTest, EmbryoThatDiesUnacceptedIsFreed) {
+  TwoStackRig rig;
+  auto listener = rig.stack_b.TcpListen(7002);
+  ASSERT_TRUE(listener.ok());
+  auto client = rig.stack_a.TcpConnect(Endpoint{rig.stack_b.ip(), 7002});
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      rig.sim.RunUntil([&] { return rig.stack_b.live_connections() == 1; }, kSecond));
+  ASSERT_FALSE((*client)->established()) << "the SYN-ACK is still on the wire";
+  (*client)->Abort();  // the RST kills the server's embryo
+  ASSERT_TRUE(
+      rig.sim.RunUntil([&] { return rig.stack_b.live_connections() == 0; }, kSecond));
+  EXPECT_EQ((*listener)->pending(), 0u);
+  EXPECT_EQ(rig.stack_a.live_connections(), 1u);  // the client end is still held
 }
 
 // The flow table is the RX-path demultiplexer at a million concurrent flows:

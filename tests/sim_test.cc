@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "src/common/random.h"
@@ -342,6 +344,19 @@ TEST(CountersTest, DescribeListsNonZeroOnly) {
   const std::string desc = c.Describe();
   EXPECT_NE(desc.find("syscalls=7"), std::string::npos);
   EXPECT_EQ(desc.find("copies"), std::string::npos);
+}
+
+// Every counter has its own name: exports key their columns by it.
+TEST(CountersTest, EveryCounterHasADistinctName) {
+  std::set<std::string_view> names;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const std::string_view name = CounterName(static_cast<Counter>(i));
+    EXPECT_FALSE(name.empty()) << "counter " << i;
+    EXPECT_NE(name, "?") << "counter " << i;
+    EXPECT_TRUE(names.insert(name).second) << "counter " << i << " repeats " << name;
+  }
+  EXPECT_EQ(CounterName(Counter::kAcceptsBatched), "accepts_batched");
+  EXPECT_EQ(CounterName(Counter::kNumCounters), "?");
 }
 
 }  // namespace
