@@ -51,7 +51,6 @@ Result<int> MtcpStack::Socket() {
   const int fd = AllocFd();
   fds_[fd] = FdEntry{};
   fds_[fd].kind = FdEntry::Kind::kSocket;
-  fds_[fd].serial = next_serial_++;
   return fd;
 }
 
@@ -89,7 +88,6 @@ Result<int> MtcpStack::Accept(int fd) {
   const int new_fd = AllocFd();
   fds_[new_fd] = FdEntry{};
   fds_[new_fd].kind = FdEntry::Kind::kSocket;
-  fds_[new_fd].serial = next_serial_++;
   fds_[new_fd].conn = conn;
   return new_fd;
 }
@@ -134,15 +132,13 @@ Result<std::size_t> MtcpStack::Write(int fd, Buffer data) {
   }
   host_->CopyBytes(data.size());  // POSIX copy out of the app's buffer
   Buffer staged = Buffer::CopyOf(data.span());
-  // The stack context transmits this batch after the exchange delay, unless the fd
-  // was closed meanwhile: its connection is then released and may be freed (and a
-  // send after close would fail anyway).
-  host_->sim().Schedule(BatchDelay(), [this, fd, serial = e->serial,
-                                       staged = std::move(staged)]() mutable {
-    if (FdEntry* open = Entry(fd); open != nullptr && open->serial == serial) {
-      (void)open->conn->Send(std::move(staged));
-    }
-  });
+  // The stack context transmits this batch after the exchange delay. A close of the
+  // fd reaches the stack one delay after it is made, so behind this send, and the
+  // connection stays unreleased until then.
+  host_->sim().Schedule(BatchDelay(),
+                        [conn = e->conn, staged = std::move(staged)]() mutable {
+                          (void)conn->Send(std::move(staged));
+                        });
   return data.size();
 }
 
@@ -160,10 +156,14 @@ Status MtcpStack::CloseFd(int fd) {
   if (e == nullptr) {
     return BadDescriptor("close");
   }
-  // The fd holds its connection or listener: closing it lets go (DESIGN.md §8).
+  // The fd holds its connection or listener: closing it lets go (DESIGN.md §8). Like
+  // a write, the close crosses to the stack context after the batch delay, so the FIN
+  // follows every write already made on the fd.
   if (e->conn != nullptr) {
-    e->conn->Close();
-    net_->Release(e->conn);
+    host_->sim().Schedule(BatchDelay(), [this, conn = e->conn] {
+      conn->Close();
+      net_->Release(conn);
+    });
   }
   if (e->kind == FdEntry::Kind::kListener) {
     net_->CloseListener(e->listener);

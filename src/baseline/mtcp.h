@@ -48,6 +48,8 @@ class MtcpStack final : public Poller {
   // POSIX write: copies and hands to the stack thread; transmitted after the batch
   // delay. Returns bytes accepted.
   Result<std::size_t> Write(int fd, Buffer data);
+  // POSIX close: the fd is free at once; the connection closes after the batch delay,
+  // behind the fd's writes.
   Status CloseFd(int fd);
 
   bool Readable(int fd) const;
@@ -60,7 +62,6 @@ class MtcpStack final : public Poller {
  private:
   struct FdEntry {
     enum class Kind { kFree, kSocket, kListener } kind = Kind::kFree;
-    std::uint64_t serial = 0;  // tells this socket from a later one on the same fd
     TcpConnection* conn = nullptr;
     TcpListener* listener = nullptr;
     std::uint16_t bound_port = 0;
@@ -77,7 +78,6 @@ class MtcpStack final : public Poller {
   std::unique_ptr<NetStack> net_;
   MtcpConfig config_;
   std::vector<FdEntry> fds_;
-  std::uint64_t next_serial_ = 1;
 };
 
 }  // namespace demi

@@ -10,10 +10,7 @@ namespace demi {
 
 namespace {
 constexpr std::size_t kSubBuckets = 64;  // 2^kSubBucketBits
-constexpr std::size_t kNumBuckets = kSubBuckets + 58 * kSubBuckets;
 }  // namespace
-
-Histogram::Histogram() : buckets_(kNumBuckets, 0) {}
 
 std::size_t Histogram::BucketFor(std::uint64_t value) {
   if (value < kSubBuckets) {
@@ -39,7 +36,11 @@ void Histogram::RecordN(std::uint64_t value, std::uint64_t count) {
   if (count == 0) {
     return;
   }
-  buckets_[BucketFor(value)] += count;
+  const std::size_t bucket = BucketFor(value);
+  if (bucket >= buckets_.size()) {
+    buckets_.resize(bucket + 1);  // geometric capacity growth keeps this amortised O(1)
+  }
+  buckets_[bucket] += count;
   count_ += count;
   sum_ += value * count;
   min_ = std::min(min_, value);
@@ -63,8 +64,8 @@ std::uint64_t Histogram::Quantile(double q) const {
 }
 
 void Histogram::Merge(const Histogram& other) {
-  DEMI_CHECK(buckets_.size() == other.buckets_.size());
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  buckets_.resize(std::max(buckets_.size(), other.buckets_.size()));
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
@@ -74,12 +75,14 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 Histogram Histogram::DiffSince(const Histogram& earlier) const {
-  DEMI_CHECK(buckets_.size() == earlier.buckets_.size());
+  DEMI_CHECK(buckets_.size() >= earlier.buckets_.size());
   DEMI_CHECK(count_ >= earlier.count_);
   Histogram out;
+  out.buckets_.resize(buckets_.size());
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    DEMI_CHECK(buckets_[i] >= earlier.buckets_[i]);
-    const std::uint64_t n = buckets_[i] - earlier.buckets_[i];
+    const std::uint64_t before = i < earlier.buckets_.size() ? earlier.buckets_[i] : 0;
+    DEMI_CHECK(buckets_[i] >= before);
+    const std::uint64_t n = buckets_[i] - before;
     out.buckets_[i] = n;
     if (n == 0) {
       continue;
@@ -101,7 +104,7 @@ Histogram Histogram::DiffSince(const Histogram& earlier) const {
 }
 
 void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0;
   min_ = UINT64_MAX;

@@ -1,8 +1,11 @@
 // Log-bucketed latency histogram for experiment reporting (p50/p99/p99.9, mean, max).
 //
 // Uses HdrHistogram-style sub-bucketing: values are grouped by magnitude with a fixed
-// relative precision (~1.5%), so recording is O(1) and memory is bounded regardless of
-// the latency range — the standard tool for tail-latency reporting in systems papers.
+// relative precision (~1.5%), so recording is amortised O(1) and memory is bounded
+// regardless of the latency range — the standard tool for tail-latency reporting in
+// systems papers. Buckets grow on demand: a histogram holds buckets only up to the
+// highest one it has recorded, so an empty one allocates nothing, and every bucket
+// past the end counts as zero.
 
 #ifndef SRC_COMMON_HISTOGRAM_H_
 #define SRC_COMMON_HISTOGRAM_H_
@@ -15,8 +18,6 @@ namespace demi {
 
 class Histogram {
  public:
-  Histogram();
-
   void Record(std::uint64_t value);
   void RecordN(std::uint64_t value, std::uint64_t count);
 
@@ -35,9 +36,10 @@ class Histogram {
 
   void Merge(const Histogram& other);
   // Bucket-exact window difference: *this minus `earlier`, where `earlier` is a
-  // previous copy of this histogram (recording is append-only, so every bucket of
-  // `earlier` is <= the same bucket here). count and sum subtract exactly; min/max
-  // are reconstructed from the differing buckets to the bucket's relative precision.
+  // previous copy of this histogram (recording is append-only, so `earlier` has no
+  // more buckets than this one and each is <= the same bucket here). count and sum
+  // subtract exactly; min/max are reconstructed from the differing buckets to the
+  // bucket's relative precision.
   Histogram DiffSince(const Histogram& earlier) const;
   void Reset();
 
@@ -50,7 +52,7 @@ class Histogram {
   static std::size_t BucketFor(std::uint64_t value);
   static std::uint64_t BucketUpperBound(std::size_t index);
 
-  std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> buckets_;  // up to the highest bucket recorded
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t min_ = UINT64_MAX;

@@ -2,30 +2,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 
 namespace demi {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-std::string_view LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace:
-      return "TRACE";
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
+constexpr std::string_view kLevelNames[] = {"TRACE", "DEBUG", "INFO", "WARN", "ERROR", "OFF"};
+static_assert(std::size(kLevelNames) == static_cast<std::size_t>(LogLevel::kOff) + 1);
 
 std::string_view Basename(std::string_view path) {
   const std::size_t pos = path.find_last_of('/');
@@ -33,13 +17,11 @@ std::string_view Basename(std::string_view path) {
 }
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 namespace log_internal {
 
-LogLine::LogLine(LogLevel level, std::string_view file, int line) : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << Basename(file) << ":" << line << "] ";
+LogLine::LogLine(LogLevel level, std::string_view file, int line) {
+  stream_ << "[" << kLevelNames[static_cast<std::size_t>(level)] << " " << Basename(file)
+          << ":" << line << "] ";
 }
 
 LogLine::~LogLine() {

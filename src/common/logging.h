@@ -1,5 +1,5 @@
-// Minimal leveled logging. Disabled below the compile/run-time threshold with
-// near-zero cost; used mainly by tests and examples (the data path never logs).
+// Minimal leveled logging. Disabled below the compile-time threshold at no cost; used
+// mainly by tests and examples (the data path never logs).
 
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
@@ -12,9 +12,8 @@ namespace demi {
 
 enum class LogLevel : std::uint8_t { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 
-// Process-wide log threshold (default kWarn so tests/benches stay quiet).
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
+// Process-wide log threshold (kWarn so tests/benches stay quiet).
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 namespace log_internal {
 
@@ -33,15 +32,14 @@ class LogLine {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
 }  // namespace log_internal
 
-#define DEMI_LOG(level)                          \
-  if (::demi::LogLevel::level < ::demi::GetLogLevel()) { \
-  } else                                         \
+#define DEMI_LOG(level)                              \
+  if (::demi::LogLevel::level < ::demi::kLogLevel) { \
+  } else                                             \
     ::demi::log_internal::LogLine(::demi::LogLevel::level, __FILE__, __LINE__)
 
 #define LOG_TRACE DEMI_LOG(kTrace)

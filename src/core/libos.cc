@@ -7,8 +7,7 @@
 
 namespace demi {
 
-LibOS::LibOS(HostCpu* host, MemoryConfig mem_config)
-    : host_(host), memory_(host, mem_config) {
+LibOS::LibOS(HostCpu* host) : host_(host), memory_(host) {
   host_->sim().AddPoller(this);
 }
 
@@ -213,8 +212,18 @@ Status LibOS::Close(QDesc qd) {
     std::erase(dirty_queues_, queue.get());
   }
   queue.reset();
-  // Cancel splices touching this queue.
-  std::erase_if(splices_, [qd](const Splice& s) { return s.in == qd || s.out == qd; });
+  // Drop splices touching this queue and withdraw their internal ops: none may reach
+  // the ready ring, and the surviving end keeps no pop armed that would take the
+  // application's next element. An op on the closed queue is only abandoned here; the
+  // sweep below releases it. (Cancelling kInvalidQToken is a harmless kNotFound.)
+  std::erase_if(splices_, [this, qd](const Splice& s) {
+    if (s.in != qd && s.out != qd) {
+      return false;
+    }
+    (void)CancelOp(s.pop_token);
+    (void)CancelOp(s.push_token);
+    return true;
+  });
   // Ops still pending on the descriptor can never complete now that the queue is
   // gone. This is the one place they are cancelled, so no qtoken is stranded; an
   // abandoned op's slot is released by the same CompleteOp. Index loop: a

@@ -63,7 +63,7 @@ struct ReadyCompletion {
 
 class LibOS : public Poller, public CompletionSink {
  public:
-  LibOS(HostCpu* host, MemoryConfig mem_config = MemoryConfig{});
+  explicit LibOS(HostCpu* host);
   ~LibOS() override;
   LibOS(const LibOS&) = delete;
   LibOS& operator=(const LibOS&) = delete;

@@ -1,10 +1,16 @@
 #include "src/memory/memory_manager.h"
 
-#include <algorithm>
+#include <tuple>
 
 #include "src/common/logging.h"
 
 namespace demi {
+
+namespace {
+constexpr std::size_t kArenaBytes = 2 * 1024 * 1024;  // size-class arenas (hugepage-sized)
+constexpr std::size_t kHeaderArenaBytes = 64 * 1024;  // the header pool's arenas
+constexpr TimeNs kAllocNs = 25;                       // pooled alloc/free CPU cost
+}  // namespace
 
 // A large registered region. Outlives the manager if buffers are still referenced
 // (e.g. a device completion event still holds one).
@@ -14,27 +20,26 @@ class MemoryManager::Arena final : public BufferStorage {
   ~Arena() override { delete[] data_; }
 };
 
-// One allocation carved out of an arena. Destruction returns the slot to the pool —
-// this destructor IS the free-protection mechanism: it only runs once the application
-// and every device reference are gone.
+// One allocation carved out of an arena. Destruction returns the slot to the pool it
+// came from — this destructor IS the free-protection mechanism: it only runs once the
+// application and every device reference are gone. An oversized allocation has no
+// pool; its dedicated arena dies with it.
 class MemoryManager::PooledStorage final : public BufferStorage {
  public:
-  PooledStorage(MemoryManager* mgr, std::shared_ptr<bool> mgr_alive,
-                std::shared_ptr<Arena> arena, std::size_t offset, std::size_t slot_size,
-                bool header_slot = false)
-      : BufferStorage(arena->data() + offset, slot_size),
+  PooledStorage(MemoryManager* mgr, std::shared_ptr<bool> mgr_alive, Pool* pool,
+                std::shared_ptr<Arena> arena, std::size_t offset, std::size_t capacity)
+      : BufferStorage(arena->data() + offset, capacity),
         mgr_(mgr),
         mgr_alive_(std::move(mgr_alive)),
+        pool_(pool),
         arena_(std::move(arena)),
-        offset_(offset),
-        header_slot_(header_slot) {}
+        offset_(offset) {}
 
   ~PooledStorage() override {
     if (*mgr_alive_) {
-      if (header_slot_) {
-        mgr_->RecycleHeaderSlot(std::move(arena_), offset_);
-      } else {
-        mgr_->RecycleSlot(std::move(arena_), offset_, capacity_);
+      --mgr_->live_slots_;
+      if (pool_ != nullptr) {
+        pool_->free_slots.emplace_back(std::move(arena_), offset_);
       }
     }
   }
@@ -44,16 +49,23 @@ class MemoryManager::PooledStorage final : public BufferStorage {
  private:
   MemoryManager* mgr_;
   std::shared_ptr<bool> mgr_alive_;
+  Pool* pool_;
   std::shared_ptr<Arena> arena_;
   std::size_t offset_;
-  bool header_slot_;
 };
 
-MemoryManager::MemoryManager(HostCpu* host, MemoryConfig config)
-    : host_(host), config_(config) {
+bool MemoryManager::Pool::exhausted() const {
+  return free_slots.empty() && (newest == nullptr || carved + slot_size > arena_bytes);
+}
+
+MemoryManager::MemoryManager(HostCpu* host) : host_(host) {
+  static_assert(kSlotSizes.back() <= kArenaBytes && kHeaderSlotSize <= kHeaderArenaBytes);
   for (std::size_t i = 0; i < kSlotSizes.size(); ++i) {
     classes_[i].slot_size = kSlotSizes[i];
+    classes_[i].arena_bytes = kArenaBytes;
   }
+  header_pool_.slot_size = kHeaderSlotSize;
+  header_pool_.arena_bytes = kHeaderArenaBytes;
   alive_ = std::make_shared<bool>(true);
 }
 
@@ -72,7 +84,7 @@ void MemoryManager::BindTenant(TenantRegistry* registry, TenantId tenant) {
   });
 }
 
-MemoryManager::SizeClass& MemoryManager::ClassFor(std::size_t size) {
+MemoryManager::Pool& MemoryManager::ClassFor(std::size_t size) {
   for (auto& cls : classes_) {
     if (size <= cls.slot_size) {
       return cls;
@@ -83,55 +95,33 @@ MemoryManager::SizeClass& MemoryManager::ClassFor(std::size_t size) {
   PanicImpl(__FILE__, __LINE__, "ClassFor: size exceeds largest size class");
 }
 
-void MemoryManager::GrowClass(SizeClass& cls) {
-  const std::size_t arena_bytes = std::max(config_.arena_bytes, cls.slot_size);
-  auto arena = std::make_shared<Arena>(arena_bytes);
-  bytes_reserved_ += arena_bytes;
+void MemoryManager::Grow(Pool& pool) {
+  auto arena = std::make_shared<Arena>(pool.arena_bytes);
+  bytes_reserved_ += pool.arena_bytes;
   // Transparent registration: the new arena is registered with every attached device
   // before any buffer from it is handed out.
   for (const auto& dev : devices_) {
     dev(arena);
   }
-  const std::size_t slots = arena_bytes / cls.slot_size;
-  cls.free_slots.reserve(cls.free_slots.size() + slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    cls.free_slots.emplace_back(arena, i * cls.slot_size);
-  }
+  pool.newest = arena;
+  pool.carved = 0;
   arenas_.push_back(std::move(arena));
 }
 
-void MemoryManager::GrowHeaderPool() {
-  const std::size_t arena_bytes = std::max(config_.header_arena_bytes, kHeaderSlotSize);
-  auto arena = std::make_shared<Arena>(arena_bytes);
-  bytes_reserved_ += arena_bytes;
-  // Like every arena, the header arena is registered with all attached devices up
-  // front, so header buffers are always DMA-able with zero per-send registration.
-  for (const auto& dev : devices_) {
-    dev(arena);
+Buffer MemoryManager::Take(Pool& pool, std::size_t size) {
+  std::shared_ptr<Arena> arena;
+  std::size_t offset;
+  if (pool.free_slots.empty()) {
+    arena = pool.newest;
+    offset = pool.carved;
+    pool.carved += pool.slot_size;
+  } else {
+    std::tie(arena, offset) = std::move(pool.free_slots.back());
+    pool.free_slots.pop_back();
   }
-  const std::size_t slots = arena_bytes / kHeaderSlotSize;
-  header_free_slots_.reserve(header_free_slots_.size() + slots);
-  for (std::size_t i = 0; i < slots; ++i) {
-    header_free_slots_.emplace_back(arena, i * kHeaderSlotSize);
-  }
-  arenas_.push_back(std::move(arena));
-}
-
-void MemoryManager::RecycleHeaderSlot(std::shared_ptr<Arena> arena, std::size_t offset) {
-  --live_slots_;
-  header_free_slots_.emplace_back(std::move(arena), offset);
-}
-
-void MemoryManager::RecycleSlot(std::shared_ptr<Arena> arena, std::size_t offset,
-                                std::size_t slot_size) {
-  --live_slots_;
-  for (auto& cls : classes_) {
-    if (cls.slot_size == slot_size) {
-      cls.free_slots.emplace_back(std::move(arena), offset);
-      return;
-    }
-  }
-  // Oversized one-off slot: the dedicated arena is simply dropped with its storage.
+  auto storage = std::make_shared<PooledStorage>(this, alive_, &pool, std::move(arena),
+                                                 offset, pool.slot_size);
+  return Buffer::FromStorage(std::move(storage), 0, size);
 }
 
 Buffer MemoryManager::AllocateHeader(std::size_t size) {
@@ -141,29 +131,26 @@ Buffer MemoryManager::AllocateHeader(std::size_t size) {
     host_->Count(Counter::kHeaderPoolMisses);
     return Allocate(size);
   }
-  host_->Work(config_.header_alloc_ns);
+  // No size-class dispatch, so no CPU is charged: the pop is subsumed by the
+  // per-segment stack processing cost the caller already charges.
   host_->Count(Counter::kBufferAllocs);
   ++allocs_;
   ++live_slots_;
-  if (header_free_slots_.empty()) {
+  if (header_pool_.exhausted()) {
     ++header_pool_misses_;
     host_->Count(Counter::kHeaderPoolMisses);
-    GrowHeaderPool();
+    Grow(header_pool_);
   } else {
     ++header_pool_hits_;
     ++pool_hits_;
     host_->Count(Counter::kHeaderPoolHits);
   }
-  auto [arena, offset] = std::move(header_free_slots_.back());
-  header_free_slots_.pop_back();
-  auto storage = std::make_shared<PooledStorage>(this, alive_, std::move(arena), offset,
-                                                 kHeaderSlotSize, /*header_slot=*/true);
-  return Buffer::FromStorage(std::move(storage), 0, size);
+  return Take(header_pool_, size);
 }
 
 Buffer MemoryManager::Allocate(std::size_t size) {
   DEMI_CHECK(size > 0);
-  host_->Work(config_.alloc_ns);
+  host_->Work(kAllocNs);
   host_->Count(Counter::kBufferAllocs);
   ++allocs_;
   ++live_slots_;
@@ -178,21 +165,18 @@ Buffer MemoryManager::Allocate(std::size_t size) {
     for (const auto& dev : devices_) {
       dev(arena);
     }
-    auto storage = std::make_shared<PooledStorage>(this, alive_, std::move(arena), 0, size);
+    auto storage = std::make_shared<PooledStorage>(this, alive_, /*pool=*/nullptr,
+                                                   std::move(arena), 0, size);
     return Buffer::FromStorage(std::move(storage), 0, size);
   }
 
-  SizeClass& cls = ClassFor(size);
-  if (cls.free_slots.empty()) {
-    GrowClass(cls);
+  Pool& pool = ClassFor(size);
+  if (pool.exhausted()) {
+    Grow(pool);
   } else {
     ++pool_hits_;
   }
-  auto [arena, offset] = std::move(cls.free_slots.back());
-  cls.free_slots.pop_back();
-  auto storage = std::make_shared<PooledStorage>(this, alive_, std::move(arena), offset,
-                                                 cls.slot_size);
-  return Buffer::FromStorage(std::move(storage), 0, size);
+  return Take(pool, size);
 }
 
 SgArray MemoryManager::AllocateSga(std::size_t size) { return SgArray(Allocate(size)); }

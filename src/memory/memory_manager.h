@@ -13,6 +13,8 @@
 //     NO write-protection (§4.5): the paper judges it too expensive, and so do we.
 //
 //  3. *Size-class pooling*, jemalloc-style, so hot allocations are O(1) pointer pops.
+//     A pool carves slots from its newest arena on demand, so host memory follows the
+//     slots a run actually uses rather than the arenas it reserves.
 //
 // The trade-off the paper concedes — applications cannot bring their own allocator —
 // is visible here: everything on the I/O path must come from this manager to stay
@@ -34,22 +36,12 @@
 
 namespace demi {
 
-struct MemoryConfig {
-  std::size_t arena_bytes = 2 * 1024 * 1024;  // 2 MiB arenas (hugepage-sized)
-  TimeNs alloc_ns = 25;                        // pooled alloc/free CPU cost
-  // The header pool is a single-size free list with no size-class dispatch; its pop is
-  // cheap enough that the cost is subsumed by the per-segment stack processing cost the
-  // caller already charges, so it defaults to free.
-  TimeNs header_alloc_ns = 0;
-  std::size_t header_arena_bytes = 64 * 1024;  // dedicated pre-registered header arena
-};
-
 class MemoryManager {
  public:
   // A device registration hook: called once per arena (existing and future).
   using RegisterRegionFn = std::function<void(std::shared_ptr<BufferStorage> arena)>;
 
-  explicit MemoryManager(HostCpu* host, MemoryConfig config = MemoryConfig{});
+  explicit MemoryManager(HostCpu* host);
   ~MemoryManager();
   MemoryManager(const MemoryManager&) = delete;
   MemoryManager& operator=(const MemoryManager&) = delete;
@@ -67,10 +59,10 @@ class MemoryManager {
   // Allocates a buffer of exactly `size` bytes from the pools.
   Buffer Allocate(std::size_t size);
 
-  // Allocates a protocol-header buffer from the dedicated pre-registered header pool.
-  // Headers (eth+ip, tcp, udp, framing) are all <= kHeaderSlotSize, so this is a plain
-  // free-list pop with no size-class dispatch; oversized requests fall back to
-  // Allocate() and count as pool misses.
+  // Allocates a protocol-header buffer from the dedicated pre-registered header pool,
+  // a pool of kHeaderSlotSize slots in small arenas of its own. Headers (eth+ip, tcp,
+  // udp, framing) all fit one slot, so there is no size-class dispatch; oversized
+  // requests fall back to Allocate() and count as pool misses.
   Buffer AllocateHeader(std::size_t size);
 
   // Largest request the header pool serves from its own slots.
@@ -82,7 +74,7 @@ class MemoryManager {
   // --- statistics ---
   std::uint64_t bytes_reserved() const { return bytes_reserved_; }  // arena footprint
   std::uint64_t allocs() const { return allocs_; }
-  std::uint64_t pool_hits() const { return pool_hits_; }  // reused a recycled slot
+  std::uint64_t pool_hits() const { return pool_hits_; }  // served without growing
   std::size_t arena_count() const { return arenas_.size(); }
   std::uint64_t live_slots() const { return live_slots_; }
   std::uint64_t header_pool_hits() const { return header_pool_hits_; }
@@ -91,33 +83,38 @@ class MemoryManager {
  private:
   class Arena;
   class PooledStorage;
-  // Free slots carry the owning arena's shared_ptr so an allocation is a pure pop —
-  // no lookup to recover the arena reference on the hot path.
-  struct SizeClass {
-    std::size_t slot_size;
+  // Equal slots carved from arenas of `arena_bytes`: a slot comes off the newest arena
+  // by advancing `carved`, and the pool grows by an arena only once every slot of every
+  // arena it has is live. `free_slots` holds only slots handed out and then returned;
+  // each carries its arena's shared_ptr, so reusing one is a pure pop.
+  struct Pool {
+    std::size_t slot_size = 0;
+    std::size_t arena_bytes = 0;
+    std::shared_ptr<Arena> newest;
+    std::size_t carved = 0;  // bytes of `newest` handed out
     std::vector<std::pair<std::shared_ptr<Arena>, std::size_t>> free_slots;
+
+    bool exhausted() const;
   };
 
   static constexpr std::array<std::size_t, 8> kSlotSizes = {64,    256,    1024,   4096,
                                                             16384, 65536,  262144, 1048576};
 
-  SizeClass& ClassFor(std::size_t size);
-  void GrowClass(SizeClass& cls);
-  void GrowHeaderPool();
-  void RecycleSlot(std::shared_ptr<Arena> arena, std::size_t offset,
-                   std::size_t slot_size);
-  void RecycleHeaderSlot(std::shared_ptr<Arena> arena, std::size_t offset);
+  Pool& ClassFor(std::size_t size);
+  void Grow(Pool& pool);
+  // Hands out a returned slot of `pool` if one is free (LIFO), else the next uncarved
+  // one; the pool must not be exhausted.
+  Buffer Take(Pool& pool, std::size_t size);
 
   HostCpu* host_;
-  MemoryConfig config_;
   std::vector<std::shared_ptr<Arena>> arenas_;
-  std::array<SizeClass, kSlotSizes.size()> classes_;
+  std::array<Pool, kSlotSizes.size()> classes_;
+  Pool header_pool_;
   std::vector<RegisterRegionFn> devices_;
   std::uint64_t bytes_reserved_ = 0;
   std::uint64_t allocs_ = 0;
   std::uint64_t pool_hits_ = 0;
   std::uint64_t live_slots_ = 0;
-  std::vector<std::pair<std::shared_ptr<Arena>, std::size_t>> header_free_slots_;
   std::uint64_t header_pool_hits_ = 0;
   std::uint64_t header_pool_misses_ = 0;
   // Set false on destruction; PooledStorage destructors skip recycling afterwards

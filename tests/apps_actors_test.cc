@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "src/apps/actors.h"
@@ -141,6 +142,50 @@ TEST(EchoActorsTest, MtcpServerClosesAConnectionAtEof) {
   // Only the server's close answers the client's FIN, so the client's side, which
   // its close released, can pass TIME_WAIT to CLOSED and be freed.
   EXPECT_EQ(ch.kernel->net()->live_connections(), 0u);
+}
+
+// mTCP hands a write to its stack context after the batch delay; a close made right
+// after must not overtake it, or the peer reads EOF and never the bytes.
+TEST(MtcpStackTest, ACloseRightAfterAWriteStillDeliversTheBytes) {
+  TestHarness h;
+  HostOptions server_opts;
+  server_opts.with_kernel = false;
+  auto& sh = h.AddHost("server", "10.0.0.1", server_opts);
+  auto& ch = h.AddHost("client", "10.0.0.2", LoadgenOpts());
+  MtcpConfig mcfg;
+  mcfg.ip = sh.ip;
+  MtcpStack mtcp(sh.cpu.get(), sh.nic.get(), mcfg);
+  const int listen_fd = *mtcp.Socket();
+  ASSERT_TRUE(mtcp.Bind(listen_fd, kPort).ok());
+  ASSERT_TRUE(mtcp.Listen(listen_fd).ok());
+  SimKernel& kernel = *ch.kernel;
+  const int cfd = *kernel.Socket();
+  ASSERT_TRUE(kernel.Connect(cfd, Endpoint{sh.ip, kPort}).ok());
+  int sfd = -1;
+  ASSERT_TRUE(h.RunUntil(
+      [&] {
+        auto accepted = mtcp.Accept(listen_fd);
+        sfd = accepted.ok() ? *accepted : -1;
+        return accepted.ok();
+      },
+      kSecond));
+
+  auto written = mtcp.Write(sfd, Buffer::CopyOf("hello world"));
+  ASSERT_TRUE(written.ok());
+  EXPECT_EQ(*written, 11u);
+  ASSERT_TRUE(mtcp.CloseFd(sfd).ok());
+
+  std::string got;
+  ASSERT_TRUE(h.RunUntil(
+      [&] {
+        auto data = kernel.ReadSock(cfd, 4096);
+        if (data.ok()) {
+          got.append(data->AsStringView());
+        }
+        return data.code() == ErrorCode::kEndOfFile;
+      },
+      kSecond));
+  EXPECT_EQ(got, "hello world");
 }
 
 TEST(EchoActorsTest, LatencyOrderingMatchesArchitectures) {

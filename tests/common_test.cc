@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <numeric>
 #include <set>
@@ -450,6 +451,88 @@ TEST(HistogramTest, ResetClears) {
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.Quantile(0.5), 0u);
+  h.Record(1000);
+  EXPECT_EQ(h.min(), 1000u);
+  EXPECT_EQ(h.P50(), 1000u);
+}
+
+// Buckets grow on demand, so histograms that recorded different ranges hold different
+// numbers of buckets. The figures pinned below were read from a histogram that
+// allocated every bucket up front; growing on demand must not change any of them.
+struct HistogramFigures {
+  std::uint64_t count, min, max, p0, p50, p90, p99, p999;
+};
+
+HistogramFigures FiguresOf(const Histogram& h) {
+  return {h.count(), h.min(), h.max(), h.Quantile(0.0), h.P50(), h.P90(), h.P99(), h.P999()};
+}
+
+void ExpectFigures(const Histogram& h, const HistogramFigures& want) {
+  const HistogramFigures got = FiguresOf(h);
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.p0, want.p0);
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p90, want.p90);
+  EXPECT_EQ(got.p99, want.p99);
+  EXPECT_EQ(got.p999, want.p999);
+}
+
+Histogram HistogramOf(std::initializer_list<std::uint64_t> values) {
+  Histogram h;
+  for (const std::uint64_t v : values) {
+    h.Record(v);
+  }
+  return h;
+}
+
+TEST(HistogramTest, MergeAWiderHistogramIntoAnEmptyAndANarrowerOne) {
+  const Histogram wide = HistogramOf({3, 70, 1000, 123456, 9876543210ULL});
+  Histogram empty;
+  empty.Merge(wide);
+  ExpectFigures(empty, {5, 3, 9876543210ULL, 3, 1007, 123903, 123903, 123903});
+  EXPECT_DOUBLE_EQ(empty.mean(), wide.mean());
+
+  Histogram narrow = HistogramOf({1, 2, 50});
+  narrow.Merge(wide);
+  const HistogramFigures merged{8, 1, 9876543210ULL, 1, 50, 123903, 123903, 123903};
+  ExpectFigures(narrow, merged);
+  EXPECT_DOUBLE_EQ(narrow.mean(), 1234583474.0);
+
+  Histogram wider = wide;
+  wider.Merge(HistogramOf({1, 2, 50}));
+  ExpectFigures(wider, merged);
+}
+
+TEST(HistogramTest, DiffSinceAnEarlierShorterCopy) {
+  Histogram h = HistogramOf({5, 60});
+  const Histogram earlier = h;  // holds only the buckets up to 60
+  h.Record(5000);
+  h.Record(70000);
+  h.RecordN(1ULL << 40, 3);
+  const Histogram window = h.DiffSince(earlier);
+  // min is the lowest differing bucket's lower bound, as the window cannot tell 5000
+  // from the rest of its bucket.
+  ExpectFigures(window, {5, 4992, 1ULL << 40, 5055, 1ULL << 40, 1ULL << 40, 1ULL << 40,
+                         1ULL << 40});
+  EXPECT_DOUBLE_EQ(window.mean(), (5000.0 + 70000.0 + 3.0 * (1ULL << 40)) / 5.0);
+
+  ExpectFigures(h.DiffSince(Histogram{}), {7, 5, 1ULL << 40, 5, 70655, 1ULL << 40,
+                                           1ULL << 40, 1ULL << 40});
+  EXPECT_EQ(h.DiffSince(h).count(), 0u);
+}
+
+TEST(HistogramTest, QuantilesMatchPinnedFigures) {
+  Histogram h;
+  std::uint64_t x = 12345;
+  for (int i = 0; i < 20000; ++i) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    h.Record((x >> 33) % (1U << ((i % 24) + 1)));
+  }
+  ExpectFigures(h, {20000, 0, 16678280, 0, 2047, 1769471, 12582911, 16383999});
+  EXPECT_DOUBLE_EQ(h.mean(), 693334.5595);
+  EXPECT_EQ(h.Quantile(1.0), 16678280u);
 }
 
 // --- Rng ---

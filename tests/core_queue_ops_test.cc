@@ -473,6 +473,77 @@ TEST(QConnectTest, PipelineFilterThenMap) {
   EXPECT_EQ(r->sga.ToString(), "KEPT-ONE");
 }
 
+void RunUntilIdle(PureRig& rig) {
+  while (rig.sim.StepOnce()) {
+  }
+}
+
+// Claims every completion left on the ready ring; a splice's internal ops must never
+// show up here.
+std::size_t ClaimReadyCompletions(LibOS& libos) {
+  std::size_t claimed = 0;
+  ReadyCompletion done;
+  while (libos.PopReady(&done)) {
+    ++claimed;
+  }
+  return claimed;
+}
+
+// Splices one element through, so the splice has re-armed its pop on `in`.
+void SpliceOneElement(PureRig& rig, QDesc in, QDesc out) {
+  ASSERT_TRUE(rig.libos.QConnect(in, out).ok());
+  ASSERT_TRUE(rig.libos.BlockingPush(in, Sga("spliced")).ok());
+  auto r = rig.libos.BlockingPop(out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->sga.ToString(), "spliced");
+  RunUntilIdle(rig);
+  EXPECT_EQ(rig.libos.pending_ops(), 1u);  // the splice's pop on `in`
+}
+
+TEST(QConnectTest, ClosingTheInputEndsTheSplice) {
+  PureRig rig;
+  const QDesc in = *rig.libos.QueueCreate();
+  const QDesc out = *rig.libos.QueueCreate();
+  const std::size_t tokens = rig.libos.live_tokens();
+  const std::size_t pending = rig.libos.pending_ops();
+  SpliceOneElement(rig, in, out);
+
+  ASSERT_TRUE(rig.libos.Close(in).ok());
+  RunUntilIdle(rig);
+  EXPECT_EQ(ClaimReadyCompletions(rig.libos), 0u);
+  EXPECT_EQ(rig.libos.live_tokens(), tokens);
+  EXPECT_EQ(rig.libos.pending_ops(), pending);
+  // The output end is still the application's own queue.
+  ASSERT_TRUE(rig.libos.BlockingPush(out, Sga("direct")).ok());
+  auto r = rig.libos.BlockingPop(out);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->sga.ToString(), "direct");
+}
+
+TEST(QConnectTest, ClosingTheOutputEndsTheSplice) {
+  PureRig rig;
+  const QDesc in = *rig.libos.QueueCreate();
+  const QDesc out = *rig.libos.QueueCreate();
+  const std::size_t tokens = rig.libos.live_tokens();
+  const std::size_t pending = rig.libos.pending_ops();
+  SpliceOneElement(rig, in, out);
+
+  ASSERT_TRUE(rig.libos.Close(out).ok());
+  RunUntilIdle(rig);
+  EXPECT_EQ(ClaimReadyCompletions(rig.libos), 0u);
+  EXPECT_EQ(rig.libos.live_tokens(), tokens);
+  EXPECT_EQ(rig.libos.pending_ops(), pending);
+  // No pop stays armed on `in` for the splice: the application's own pop gets the
+  // next element.
+  const QToken pop = *rig.libos.Pop(in);
+  ASSERT_TRUE(rig.libos.BlockingPush(in, Sga("next")).ok());
+  auto r = rig.libos.Wait(pop, 10 * kMicrosecond);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->sga.ToString(), "next");
+  RunUntilIdle(rig);
+  EXPECT_EQ(ClaimReadyCompletions(rig.libos), 0u);
+}
+
 TEST(CloseTest, CloseCancelsPendingPops) {
   PureRig rig;
   const QDesc qd = *rig.libos.QueueCreate();

@@ -22,7 +22,7 @@ set -euo pipefail
 # Lowest acceptable src/*.cc line coverage, in percent: what the tree reached when
 # the floor was last raised, with gcc 12. Another gcc release may count lines
 # differently, so CI builds with g++-12. Raise it as tests cover more.
-FLOOR=92.5
+FLOOR=92.7
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${COV_BUILD_DIR:-$REPO/build-cov}"
